@@ -39,7 +39,8 @@ class InvalidChannel(AcsusyError):
 
 
 class Overflow(AcsusyError):
-    """Integration produced a non-finite value despite renormalization."""
+    """A solution evaluation produced a non-finite value (integration despite
+    renormalization, or a closed form at extreme arguments)."""
 
 
 class NoDecaySeed(AcsusyError):

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import GridTooCoarse
 from .radial import GEOM_CYLINDER, GEOM_SPHERE, RadialProblem, effective_potential
@@ -119,107 +119,25 @@ def build_grid_hamiltonian(p: RadialProblem, n: int, r_max: float) -> GridHamilt
     )
 
 
-def _sturm_counts(diag: np.ndarray, off2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues below each shift, by LDL sign counting.
-
-    Vectorized over shifts. off2 holds the squared off-diagonals. A
-    tiny-pivot guard keeps the recurrence finite without changing the
-    count.
-    """
-    nshift = shifts.shape[0]
-    count = np.zeros(nshift, dtype=np.int64)
-    dcur = diag[0] - shifts
-    count += (dcur < 0.0).astype(np.int64)
-    tiny = 1.0e-300
-    for k in range(1, diag.shape[0]):
-        small = np.abs(dcur) < tiny
-        if np.any(small):
-            dcur = np.where(small, np.where(dcur < 0.0, -tiny, tiny), dcur)
-        dcur = (diag[k] - shifts) - off2[k - 1] / dcur
-        count += (dcur < 0.0).astype(np.int64)
-    return count
-
-
-def _rayleigh_polish(diag: np.ndarray, off: np.ndarray, eig: float,
-                     scale: float, n_iter: int = 3) -> float:
-    """Refine a bisection estimate to near machine precision.
-
-    Shifted inverse iteration followed by a Rayleigh quotient; the
-    bisection interval is far narrower than the local level spacing, so
-    the iteration locks onto the bracketed eigenpair.
-    """
-    n = diag.shape[0]
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1, :] = diag - (eig + 1.0e-10 * max(1.0, scale))
-    ab[2, :-1] = off
-    try:
-        for _ in range(n_iter):
-            x = solve_banded((1, 1), ab, x)
-            nrm = np.linalg.norm(x)
-            if not np.isfinite(nrm) or nrm == 0.0:
-                return eig
-            x /= nrm
-    except np.linalg.LinAlgError:
-        return eig
-    hx = diag * x
-    hx[:-1] += off * x[1:]
-    hx[1:] += off * x[:-1]
-    rq = float(x @ hx)
-    # keep the bisection answer if the iteration wandered to another level
-    if abs(rq - eig) > 1.0e-6 * scale + 1.0e-12:
-        return eig
-    return rq
-
-
 def lowest_eigenvalues(H: GridHamiltonian, m: int) -> np.ndarray:
-    """m smallest eigenvalues: vectorized Sturm bisection, then a
-    Rayleigh-quotient polish (bisection alone stops at 1e-9 * scale,
-    which the 1/h^2 band scale would turn into the dominant error)."""
+    """m smallest eigenvalues, ascending (LAPACK stebz bisection)."""
     if not (1 <= m <= 10):
         raise ValueError("m must be between 1 and 10")
     if m > H.n:
         raise ValueError("m exceeds the matrix dimension")
-    diag = H.diag
-    off = H.offdiag
-    off2 = off * off
-    radius = np.zeros_like(diag)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    lo = float(np.min(diag - radius))
-    hi = float(np.max(diag + radius))
-    scale = H.scale()
-    tol = 1.0e-9 * scale
-    lows = np.full(m, lo)
-    highs = np.full(m, hi)
-    targets = np.arange(1, m + 1)
-    while float(np.max(highs - lows)) > tol:
-        mids = 0.5 * (lows + highs)
-        counts = _sturm_counts(diag, off2, mids)
-        below = counts >= targets
-        highs = np.where(below, mids, highs)
-        lows = np.where(below, lows, mids)
-    mids = 0.5 * (lows + highs)
-    return np.array([_rayleigh_polish(diag, off, float(e), scale) for e in mids])
+    return eigh_tridiagonal(H.diag, H.offdiag, eigvals_only=True, select="i",
+                            select_range=(0, m - 1))
 
 
-def eigenvector(H: GridHamiltonian, eig: float, n_iter: int = 3, seed: int = 7) -> np.ndarray:
-    """Unit eigenvector by shifted inverse iteration (banded solves)."""
-    n = H.n
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    shift = eig + 1.0e-10 * max(1.0, H.scale())
-    ab = np.zeros((3, n))
-    ab[0, 1:] = H.offdiag
-    ab[1, :] = H.diag - shift
-    ab[2, :-1] = H.offdiag
-    for _ in range(n_iter):
-        x = solve_banded((1, 1), ab, x)
-        x /= np.linalg.norm(x)
+def eigenvector(H: GridHamiltonian, k: int = 0) -> np.ndarray:
+    """Unit eigenvector of the k-th lowest level (k = 0: ground state).
+
+    LAPACK stebz plus stein inverse iteration; the sign is fixed so the
+    largest-magnitude component is positive.
+    """
+    if not isinstance(k, (int, np.integer)) or not (0 <= k < H.n):
+        raise ValueError(f"level index must be an integer in [0, {H.n}), got {k!r}")
+    x = eigh_tridiagonal(H.diag, H.offdiag, select="i", select_range=(k, k))[1][:, 0]
     if x[np.argmax(np.abs(x))] < 0.0:
         x = -x
     return x
@@ -315,24 +233,10 @@ def build_susy_pair(
     )
 
 
-def _tri_lowest(diag: np.ndarray, off: np.ndarray, scale: float) -> float:
-    """Smallest eigenvalue of a symmetric tridiagonal, Sturm bisection."""
-    off2 = off * off
-    radius = np.zeros_like(diag)
-    if off.size:
-        radius[:-1] += np.abs(off)
-        radius[1:] += np.abs(off)
-    lo = float(np.min(diag - radius))
-    hi = float(np.max(diag + radius))
-    tol = 1.0e-9 * scale
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        cnt = _sturm_counts(diag, off2, np.array([mid]))[0]
-        if cnt >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return _rayleigh_polish(diag, off, 0.5 * (lo + hi), scale)
+def _tri_lowest(diag: np.ndarray, off: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric tridiagonal."""
+    return float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                  select_range=(0, 0))[0])
 
 
 def susy_algebra_check(pair: DiscreteSusyPair) -> dict:
@@ -360,8 +264,8 @@ def susy_algebra_check(pair: DiscreteSusyPair) -> dict:
     scale = float(np.max(np.abs(dm))) + 2.0 * float(np.max(np.abs(om)))
     dp, op = pair.h_plus_bands()
     scale_p = float(np.max(np.abs(dp))) + 2.0 * float(np.max(np.abs(op)))
-    min_minus = _tri_lowest(dm, om, scale)
-    min_plus = _tri_lowest(dp, op, scale_p)
+    min_minus = _tri_lowest(dm, om)
+    min_plus = _tri_lowest(dp, op)
     tol = 1.0e-9 * max(scale, scale_p)
     return {
         "q2_norm": 0.0,
@@ -387,6 +291,4 @@ def grid_mode_overlap(H: GridHamiltonian, profile) -> float:
     if nrm == 0.0:
         raise ValueError("profile vanishes on the grid")
     x /= nrm
-    eig = lowest_eigenvalues(H, 1)[0]
-    v = eigenvector(H, eig)
-    return float(abs(np.dot(x, v)))
+    return float(abs(np.dot(x, eigenvector(H, 0))))

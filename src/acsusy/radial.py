@@ -16,6 +16,13 @@ Hamiltonian is a square, hence nonnegative: no eps < 0 bound states
 exist, and the scan machinery's job is to certify emptiness and to
 recognize the eps = 0 zero-mode endpoint where one exists.
 
+Matching uses closed forms wherever the paper's potentials admit them.
+The interior (both geometries) is the Kummer function
+r^alpha e^{-omega r^2/2} M(a, b, omega r^2), or sqrt(r) I(kappa r) at
+beta = 0. The cylinder exterior potential is exactly C/r^2, so its
+decaying solution is sqrt(r) K_mu(kappa r). Only the sphere exterior,
+with its 1/r^3 and 1/r^4 tails, is integrated (adaptive Cash-Karp).
+
 Energies and potentials are cm^-2 throughout.
 """
 
@@ -26,8 +33,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import ive, kve
 
-from .errors import InvalidChannel, NoDecaySeed, Overflow
+from .errors import InvalidChannel, NoDecaySeed, Overflow, RangeExceeded
 from .specfun import kummer_1f1
 
 __all__ = [
@@ -127,31 +135,20 @@ def effective_potential(p: RadialProblem, r):
 
 
 def _scalar_potential(p: RadialProblem) -> Callable[[float], float]:
-    """Closure with precomputed constants for the integrator hot loop."""
+    """Sphere potential with precomputed constants for the integrator hot loop."""
     cent = _centrifugal(p)
     b = p.beta
     b2 = b * b
     r0 = p.r0
-    if p.geometry == GEOM_SPHERE:
-        shift = -2.0 * b * (p.w + 1.5)
-        c3 = -2.0 * b * p.w * r0**3
-        c4 = b2 * r0**6
+    shift = -2.0 * b * (p.w + 1.5)
+    c3 = -2.0 * b * p.w * r0**3
+    c4 = b2 * r0**6
 
-        def vfun(r: float) -> float:
-            rr = r * r
-            if r <= r0:
-                return cent / rr + shift + b2 * rr
-            return cent / rr + c3 / (rr * r) + c4 / (rr * rr)
-
-    else:
-        shift = 2.0 * b * (p.w + 1.0)
-        cout = cent + 2.0 * b * r0**2 * p.w + b2 * r0**4
-
-        def vfun(r: float) -> float:
-            rr = r * r
-            if r <= r0:
-                return cent / rr + shift + b2 * rr
-            return cout / rr
+    def vfun(r: float) -> float:
+        rr = r * r
+        if r <= r0:
+            return cent / rr + shift + b2 * rr
+        return cent / rr + c3 / (rr * r) + c4 / (rr * rr)
 
     return vfun
 
@@ -162,6 +159,8 @@ class ShootResult:
 
     The represented function is exp(log_scale) * psi; only ratios of
     (psi, dpsi) matter for matching, so log_scale is informational.
+    Closed-form solutions report psi = 1, dpsi = log-derivative and
+    steps = 0; steps counts accepted integrator steps otherwise.
     """
 
     r: float
@@ -177,7 +176,7 @@ class ShootResult:
 
 
 # Cash-Karp embedded 4(5) pair: stage nodes and weights, unrolled below
-# for speed (the integrator dominates every spectrum scan).
+# for speed (the integrator dominates every sphere spectrum scan).
 _A21 = 0.2
 _A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
 _A41, _A42, _A43 = 0.3, -0.9, 1.2
@@ -285,19 +284,46 @@ def _integrate(
     return y, dy, log_scale, nodes, steps
 
 
+def _closed_state(p: RadialProblem, log_derivative: float, what: str) -> ShootResult:
+    if not math.isfinite(log_derivative):
+        raise Overflow(f"{what} log-derivative is not finite for {p}")
+    return ShootResult(r=p.r0, psi=1.0, dpsi=float(log_derivative), log_scale=0.0, nodes=0,
+                       steps=0)
+
+
+def _kummer_parameters(p: RadialProblem, epsilon: float) -> tuple[float, float, float]:
+    """(omega, a, b) of the interior Kummer solution; beta != 0.
+
+    channel_shift / (4 omega) is the half-integer multiple of sign(beta)
+    written out below, so a is exactly 0 at eps = 0 in a hosting channel.
+    """
+    omega = abs(p.beta)
+    if p.geometry == GEOM_SPHERE:
+        bpar, half_shift = p.l + 1.5, -(p.w + 1.5) / 2.0
+    else:
+        bpar, half_shift = p.l + 1.0, (p.w + 1.0) / 2.0
+    if p.beta < 0.0:
+        half_shift = -half_shift
+    return omega, bpar / 2.0 + half_shift - epsilon / (4.0 * omega), bpar
+
+
 def shoot_interior(
     p: RadialProblem,
     epsilon: float,
     r_match: Optional[float] = None,
     rtol: float = 1.0e-10,
 ) -> ShootResult:
-    """Integrate outward from the regular origin to r0.
+    """Regular interior solution at r0, in closed form.
 
-    Seeds at r_min = 1e-6 r0 with the Frobenius series
-    psi = r^alpha (1 + c2 r^2), c2 = (shift - eps)/(4 alpha + 2), then
-    integrates psi'' = (V - eps) psi with the adaptive embedded pair.
-    The returned state is rescaled (psi, dpsi with r_min^alpha pulled
-    into log_scale), so large l is safe.
+    For beta != 0 the solution is interior_closed_form's Kummer function;
+    its log-derivative uses M'(a, b, z) = (a/b) M(a+1, b+1, z)
+    (DLMF 13.3.15). For beta = 0 it is sqrt(r) I_{alpha-1/2}(kappa r),
+    kappa^2 = -eps, evaluated through the scaled ive (r^alpha at eps = 0).
+    On every eps <= 0 window a >= 0, so M sums positive terms and the
+    solution has no node in (0, r0]. a < 0 (or eps > 0 at beta = 0)
+    raises RangeExceeded; a non-finite log-derivative (overflow at
+    extreme arguments) raises Overflow. rtol is unused: only the sphere
+    exterior is integrated.
     """
     if r_match is None:
         r_match = p.r0
@@ -306,24 +332,41 @@ def shoot_interior(
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
     alpha = frobenius_exponent(p)
-    shift = channel_shift(p)
-    r_min = 1.0e-6 * p.r0
-    c2 = (shift - epsilon) / (4.0 * alpha + 2.0)
-    # state divided by r_min^alpha; the factor lives in log_scale
-    y0 = 1.0 + c2 * r_min * r_min
-    dy0 = (alpha / r_min) * (1.0 + c2 * r_min * r_min) + 2.0 * c2 * r_min
-    vfun = _scalar_potential(p)
-    y, dy, log_scale, nodes, steps = _integrate(
-        vfun, epsilon, r_min, p.r0, y0, dy0, rtol
-    )
-    return ShootResult(
-        r=p.r0,
-        psi=y,
-        dpsi=dy,
-        log_scale=log_scale + alpha * math.log(r_min),
-        nodes=nodes,
-        steps=steps,
-    )
+    r0 = p.r0
+    if p.beta == 0.0:
+        if epsilon > 0.0:
+            raise RangeExceeded(f"eps = {epsilon:g} > 0: free interior oscillates")
+        if epsilon == 0.0:
+            return _closed_state(p, alpha / r0, "interior")
+        kappa = math.sqrt(-epsilon)
+        x = kappa * r0
+        nu = alpha - 0.5
+        return _closed_state(p, alpha / r0 + kappa * ive(nu + 1.0, x) / ive(nu, x), "interior")
+    omega, a, bpar = _kummer_parameters(p, epsilon)
+    if a < 0.0:
+        raise RangeExceeded(
+            f"Kummer parameter a = {a:g} < 0 at eps = {epsilon:g}: outside the node-free range"
+        )
+    z = omega * r0 * r0
+    ratio = kummer_1f1(a + 1.0, bpar + 1.0, z) / kummer_1f1(a, bpar, z)
+    return _closed_state(p, alpha / r0 - omega * r0 + 2.0 * omega * r0 * (a / bpar) * ratio,
+                         "interior")
+
+
+def _bessel_k_ratio(mu: float, x: float) -> float:
+    """K_{mu-1}(x) / K_mu(x) for mu >= 0, x > 0.
+
+    K_mu itself overflows once mu >> x, so the ratio is carried up by
+    q_{v+1} = 1 / (q_v + 2 v / x) (from K_{v+1} = K_{v-1} + (2v/x) K_v)
+    starting at an order in [0, 1); K is the dominant solution of that
+    recurrence, so upward recursion is stable.
+    """
+    nu = mu - math.floor(mu)
+    q = kve(nu - 1.0, x) / kve(nu, x)
+    while nu + 0.5 < mu:
+        q = 1.0 / (q + 2.0 * nu / x)
+        nu += 1.0
+    return q
 
 
 def shoot_exterior(
@@ -332,10 +375,13 @@ def shoot_exterior(
     r_max: Optional[float] = None,
     rtol: float = 1.0e-10,
 ) -> ShootResult:
-    """Integrate inward from r_max with the decaying seed exp(-kappa r).
+    """Decaying exterior solution at r0; needs eps < 0 (else NoDecaySeed).
 
-    Only eps < 0 admits a decaying exterior solution; eps >= 0 raises
-    NoDecaySeed. r_max defaults to max(25/kappa, 3 r0) and must satisfy
+    Cylinder: the exterior potential is exactly (mu^2 - 1/4)/r^2 with
+    mu = |w + beta r0^2|, so the solution is sqrt(r) K_mu(kappa r) in
+    closed form (K' from DLMF 10.29, K_{mu-1}/K_mu from
+    _bessel_k_ratio); r_max and rtol are unused. Sphere: integrated inward from r_max with the seed
+    exp(-kappa r); r_max defaults to max(25/kappa, 3 r0) and must satisfy
     r_max >= 20/kappa when given explicitly.
     """
     if not math.isfinite(epsilon):
@@ -345,6 +391,11 @@ def shoot_exterior(
             f"eps = {epsilon:g} >= 0: exterior solutions oscillate; no decaying seed"
         )
     kappa = math.sqrt(-epsilon)
+    if p.geometry == GEOM_CYLINDER:
+        mu = abs(p.w + p.beta * p.r0**2)
+        return _closed_state(
+            p, (0.5 - mu) / p.r0 - kappa * _bessel_k_ratio(mu, kappa * p.r0), "exterior"
+        )
     if r_max is None:
         r_max = max(25.0 / kappa, 3.0 * p.r0)
     if r_max < 20.0 / kappa:
@@ -368,8 +419,7 @@ def _exterior_zero_energy(p: RadialProblem, rtol: float = 1.0e-11) -> ShootResul
     so the bounded solution is integrated inward from a power-law seed.
     """
     if p.geometry == GEOM_CYLINDER:
-        q = 0.5 - abs(p.w + p.beta * p.r0**2)
-        return ShootResult(r=p.r0, psi=1.0, dpsi=q / p.r0, log_scale=0.0, nodes=0, steps=0)
+        return _closed_state(p, (0.5 - abs(p.w + p.beta * p.r0**2)) / p.r0, "exterior")
     # ball: bounded branch psi ~ r^-l (1 + c1/r + ...) with c1 from the
     # leading 1/r^3 tail of the potential; overall r_far^-l scale dropped
     r_far = 60.0 * p.r0 * max(1.0, abs(p.beta) * p.r0**2)
@@ -384,26 +434,22 @@ def _exterior_zero_energy(p: RadialProblem, rtol: float = 1.0e-11) -> ShootResul
 
 
 def interior_closed_form(p: RadialProblem, epsilon: float, r: float) -> float:
-    """Closed interior solution r^alpha exp(-w|r|^2...) via Kummer 1F1.
+    """Closed interior solution psi(r) via Kummer 1F1.
 
     psi(r) = r^alpha e^{-omega r^2/2} 1F1(a; b; omega r^2) with
     omega = |beta|, b = l + 3/2 (ball) or l + 1 (cylinder), and
     a = b/2 - eps_ch/(4 omega), eps_ch = eps - channel_shift. At a = 0
     the series truncates to the pure Gaussian ground profile. Requires
-    beta != 0 (the free case reduces to Bessel-type solutions handled
-    by the shooting integrator) and 0 < r <= r0.
+    beta != 0 (the free case is sqrt(r) I_{alpha-1/2}(kappa r), see
+    shoot_interior) and 0 < r <= r0.
     """
     if p.beta == 0.0:
         raise ValueError("closed form requires beta != 0; use shoot_interior for beta = 0")
     if not (0.0 < r <= p.r0):
         raise ValueError("closed form is valid on 0 < r <= r0")
-    omega = abs(p.beta)
-    alpha = frobenius_exponent(p)
-    bpar = p.l + 1.5 if p.geometry == GEOM_SPHERE else p.l + 1.0
-    eps_ch = epsilon - channel_shift(p)
-    a = bpar / 2.0 - eps_ch / (4.0 * omega)
+    omega, a, bpar = _kummer_parameters(p, epsilon)
     z = omega * r * r
-    return r**alpha * math.exp(-z / 2.0) * kummer_1f1(a, bpar, z)
+    return r ** frobenius_exponent(p) * math.exp(-z / 2.0) * kummer_1f1(a, bpar, z)
 
 
 @dataclass(frozen=True)
@@ -566,7 +612,8 @@ def find_spectrum(
     and reported as a zero mode only when the log-derivatives agree AND
     the matched state is a square-integrable kernel state of the
     first-order operator; that combination occurs for cylinders below
-    the coupling threshold and never for spheres.
+    the coupling threshold and never for spheres. Cylinder mismatches
+    are closed form; rtol sets the sphere exterior integration only.
     """
     if not (epsilon_lo < epsilon_hi <= 0.0):
         raise ValueError("window must satisfy epsilon_lo < epsilon_hi <= 0")
@@ -612,7 +659,7 @@ def find_spectrum(
     zero_mode = None
     zero_note = ""
     if epsilon_hi == 0.0:
-        inner0 = shoot_interior(p, 0.0, rtol=min(rtol, 1.0e-11))
+        inner0 = shoot_interior(p, 0.0)
         outer0 = _exterior_zero_energy(p)
         li = inner0.log_derivative
         le = outer0.log_derivative

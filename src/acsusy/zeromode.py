@@ -19,9 +19,9 @@ continuity_defects rather than patched. A consistent_gaussian toggle
 swaps in the Gauss-law interior exp(-2 pi eta rho0 z^2) with a
 value-matched exp(-k(|z| - L/2)) tail.
 
-Divergence is decided analytically from the tail exponent; quadrature
-is only a cross-check on Finite verdicts, since no finite integration
-can certify divergence.
+Divergence is decided analytically from the tail exponent, since no
+finite integration can certify it; Finite verdicts also report the
+truncated norm, which every Finite profile here gives in closed form.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
-
-from scipy.integrate import quad
 
 from .errors import InadmissibleK, NonconfiningSign
 from .fields import ChargeConfiguration, Cylinder, Slab, Sphere
@@ -338,7 +336,7 @@ class NormReport:
     |phi|^2 * weight at infinity: 2p + 2 (3D), 2p + 1 (2D), 0 for a
     constant tail in 1D, and -inf for exponential or Gaussian decay.
     verdict is Finite exactly when tail_exponent < -1. value is the
-    truncated quadrature for Finite verdicts and inf otherwise.
+    truncated closed-form integral for Finite verdicts and inf otherwise.
     """
 
     value: float
@@ -370,23 +368,39 @@ def norm_integral(f: PiecewiseRadialFunction, r_max: float) -> NormReport:
     if verdict == "Divergent":
         return NormReport(value=math.inf, tail_exponent=tail_exponent, verdict=verdict)
 
-    weight = {
-        "r2dr": lambda x: x * x,
-        "rdr": lambda x: x,
-        "dz": lambda x: 1.0,
-    }[f.measure]
-    total = 0.0
-    for reg in f.regions:
-        lo = reg.lo if f.measure == "dz" else max(reg.lo, 0.0)
-        lo = max(lo, -r_max)
-        hi = min(reg.hi, r_max)
-        if hi <= lo:
-            continue
-        val, _err = quad(
-            lambda x, e=reg.evaluate: e(x) ** 2 * weight(x), lo, hi, limit=200
-        )
-        total += val
-    return NormReport(value=total, tail_exponent=tail_exponent, verdict=verdict)
+    return NormReport(value=_truncated_norm(f, r_max), tail_exponent=tail_exponent,
+                      verdict=verdict)
+
+
+def _truncated_norm(f: PiecewiseRadialFunction, r_max: float) -> float:
+    """Closed-form integral of phi^2 against the measure over [0 or -r_max, r_max].
+
+    Only profiles with a decaying tail reach here: the cylinder below
+    the threshold (Gaussian interior, power tail) and the slab families
+    (Gaussian middle, exponential sides). The sphere tail is constant,
+    so its norm is never Finite.
+    """
+    geometry = f.params.get("geometry")
+    if geometry == "cylinder":
+        beta, r0 = f.params["beta"], f.params["r0"]
+        p = beta * r0**2
+        inner = math.expm1(p) / (2.0 * beta)  # int_0^r0 e^{beta r^2} r dr
+        # exterior phi = e^{p/2} (r/r0)^p, so phi^2 r integrates to a power
+        q = 2.0 * p + 2.0
+        outer = _safe_exp(p) * r0**2 * math.expm1(q * math.log(r_max / r0)) / q
+        return inner + outer
+    if geometry == "slab":
+        k, half = f.params["k"], f.params["L"] / 2.0
+        if f.params["variant"] == "consistent_gaussian":
+            c = f.params["k_bound_sq"]  # phi^2 = e^{-c z^2} in the middle
+            edge = -c * half**2  # log phi^2 at |z| = L/2
+        else:
+            c = k * k
+            edge = -k * k * f.params["L"] ** 2 + k * f.params["L"]
+        middle = math.sqrt(math.pi / c) * math.erf(math.sqrt(c) * half)
+        side = _safe_exp(edge) * -math.expm1(-2.0 * k * (r_max - half)) / (2.0 * k)
+        return middle + 2.0 * side
+    raise ValueError(f"no closed-form norm for a Finite {geometry!r} profile")
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import acsusy
 from acsusy.cli import main
 
 SPHERE = {"geometry": {"kind": "sphere", "rho": 2.0e6, "r0": 1.0}}
@@ -213,3 +218,18 @@ def test_no_timestamp_reruns_are_byte_identical(tmp_path):
     assert b"generated_at" not in (a / "constants.json").read_bytes()
     assert main(["constants", "--config", cfg, "--out", str(a)]) == 0
     assert b"generated_at" in (a / "constants.json").read_bytes()
+
+
+def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
+    # setup time and resident memory of every CLI run depend on it
+    src = str(Path(acsusy.__file__).resolve().parents[1])
+    code = (
+        "import sys, acsusy.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,13 +1,16 @@
 """Channel ODEs: potentials, shooting, matching, spectra."""
 
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from acsusy import (
     InvalidChannel,
     NoDecaySeed,
+    RangeExceeded,
     RadialProblem,
     channel_shift,
     cylinder_zero_mode,
@@ -18,6 +21,7 @@ from acsusy import (
     shoot_exterior,
     shoot_interior,
 )
+from acsusy.cli import _auto_epsilon_lo
 from acsusy.radial import _bisect_refine, _scan_sign_changes
 
 
@@ -151,21 +155,65 @@ def test_exterior_needs_negative_epsilon():
         shoot_exterior(p, 1.0)
 
 
-def test_interior_matches_confluent_closed_form():
-    # independent route: direct Kummer evaluation of the interior solution
-    for p, eps_list in (
-        (sphere_problem(l=3, w=3, beta=5.0), (-3.0, -0.7)),
-        (sphere_problem(l=1, w=-2, beta=2.5), (-1.2,)),
-        (cylinder_problem(l=2, w=-2, beta=-4.0), (-2.0, -0.4)),
-    ):
-        for eps in eps_list:
-            sh = shoot_interior(p, eps, rtol=1e-12)
-            h = 1e-6 * p.r0
-            f0 = interior_closed_form(p, eps, p.r0)
-            fm = interior_closed_form(p, eps, p.r0 - h)
-            fm2 = interior_closed_form(p, eps, p.r0 - 2 * h)
-            one_sided = (3 * f0 - 4 * fm + fm2) / (2 * h)
-            assert sh.log_derivative == pytest.approx(one_sided / f0, rel=1e-7), (p, eps)
+def _mp_log_derivative(psi, r0):
+    return float(mpmath.diff(psi, mpmath.mpf(r0)) / psi(mpmath.mpf(r0)))
+
+
+def _mp_interior(geometry, l, w, beta, eps):
+    """Regular interior solution built in mpmath from the channel constants."""
+    mp = mpmath.mpf
+    alpha = l + (mp(1) if geometry == "sphere" else mp(1) / 2)
+    if beta == 0.0:
+        if eps == 0.0:
+            return lambda r: r**alpha
+        kap = mpmath.sqrt(-mp(eps))
+        return lambda r: mpmath.sqrt(r) * mpmath.besseli(alpha - mp(1) / 2, kap * r)
+    om = abs(mp(beta))
+    if geometry == "sphere":
+        b, shift = l + mp(3) / 2, -2 * mp(beta) * (w + mp(3) / 2)
+    else:
+        b, shift = mp(l + 1), 2 * mp(beta) * (w + 1)
+    a = b / 2 - (mp(eps) - shift) / (4 * om)
+    return lambda r: r**alpha * mpmath.exp(-om * r * r / 2) * mpmath.hyp1f1(a, b, om * r * r)
+
+
+def test_closed_form_log_derivatives_match_mpmath():
+    # independent route: mpmath builds each solution from its own
+    # hyp1f1 / besseli / besselk and differentiates numerically, over
+    # |beta| r0^2 <= 30, l <= 3, both signs and the CLI's auto window
+    with mpmath.workdps(30):
+        rng = np.random.default_rng(20261017)
+        channels = [("sphere", l, w) for l in range(4) for w in (l, -(l + 1))]
+        channels += [("cylinder", l, w) for l in range(4) for w in sorted({l, -l})]
+        for geometry, l, w in channels:
+            for sign in (1.0, -1.0, 0.0):
+                r0 = float(rng.choice([0.3, 1.0, 2.5]))
+                beta = sign * float(rng.uniform(0.1, 30.0)) / r0**2
+                p = RadialProblem(geometry=geometry, l=l, w=w, beta=beta, r0=r0)
+                lo = _auto_epsilon_lo(p)
+                for eps in [0.0] + [-float(g) for g in np.geomspace(-lo, 1e-6 * -lo, 5)]:
+                    want = _mp_log_derivative(_mp_interior(geometry, l, w, beta, eps), r0)
+                    got = shoot_interior(p, eps)
+                    assert got.steps == 0 and got.nodes == 0
+                    assert got.log_derivative == pytest.approx(want, rel=1e-10, abs=1e-12 / r0), (p, eps)
+                    if geometry == "sphere" or eps == 0.0:
+                        continue
+                    mu = abs(w + mpmath.mpf(beta) * r0**2)
+                    kap = mpmath.sqrt(-mpmath.mpf(eps))
+                    psi = lambda r: mpmath.sqrt(r) * mpmath.besselk(mu, kap * r)
+                    got = shoot_exterior(p, eps)
+                    assert got.steps == 0
+                    assert got.log_derivative == pytest.approx(
+                        _mp_log_derivative(psi, r0), rel=1e-10, abs=1e-12 / r0
+                    ), (p, eps)
+
+
+def test_interior_outside_node_free_range_is_refused():
+    # a < 0 needs eps above the eps <= 0 windows every caller uses
+    with pytest.raises(RangeExceeded):
+        shoot_interior(cylinder_problem(l=0, w=0, beta=-3.0), 20.0)
+    with pytest.raises(RangeExceeded):
+        shoot_interior(sphere_problem(beta=0.0), 1.0)
 
 
 def test_closed_form_requires_nonzero_beta():
@@ -214,6 +262,34 @@ def test_unbroken_cylinder_reports_zero_mode():
     assert rep.zero_mode.epsilon == 0.0
     assert rep.zero_mode.match_residual < 1e-6
     assert rep.zero_mode.node_count == 0
+
+
+def test_strongly_coupled_cylinder_keeps_its_zero_mode():
+    # outward shooting lost this mode from |beta| r0^2 ~ 17.5 on; the
+    # closed-form interior truncates to the Gaussian (a = 0) and matches.
+    # l >= 1 at -100 also needs K_mu(kappa r0) with mu ~ 100 >> kappa r0
+    for l, x, r0 in itertools.product((0, 1, 2), (-20.0, -40.0, -100.0), (0.1, 1.0)):
+        if l == 0 or x == -100.0:
+            p = cylinder_problem(l=l, w=l, beta=x / r0**2, r0=r0)
+            rep = find_spectrum(p, _auto_epsilon_lo(p), n_grid=120)
+            assert rep.bound_states == ()
+            assert rep.zero_mode is not None, (l, x, r0)
+            assert rep.zero_mode.node_count == 0
+            assert rep.zero_mode.match_residual < 1e-6
+
+
+def test_hosting_channels_sit_exactly_at_kummer_a_zero():
+    # a = b/2 - (eps - shift)/(4 |beta|) must not round below 0 at eps = 0
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        l = int(rng.integers(0, 4))
+        r0 = float(10.0 ** rng.uniform(-1.0, 1.0))
+        beta = -float(10.0 ** rng.uniform(-1.0, 2.0)) / r0**2
+        for p in (cylinder_problem(l=l, w=l, beta=beta, r0=r0),
+                  sphere_problem(l=l, w=l, beta=-beta, r0=r0)):
+            got = shoot_interior(p, 0.0).log_derivative
+            want = frobenius_exponent(p) / r0 - abs(beta) * r0
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-13 / r0)
 
 
 def test_broken_cylinder_has_no_zero_mode():

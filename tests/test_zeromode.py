@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -92,6 +93,30 @@ def test_cylinder_norm_threshold_at_tail_exponent():
     # tail r^{2p+1}: finite iff 2p + 1 < -1 iff p < -1
     assert norm_integral(cylinder_zero_mode(-1.2, 1.0), 100.0).verdict == "Finite"
     assert norm_integral(cylinder_zero_mode(-0.8, 1.0), 100.0).verdict == "Divergent"
+
+
+def test_truncated_norms_match_mpmath_quadrature():
+    # the closed-form truncated norms against adaptive quadrature of the
+    # profiles' own region functions, split at every boundary
+    eta = coupling_eta(DEFAULT_CONSTANTS)
+    cases = [(cylinder_zero_mode(b, r0), 20.0 * r0, lambda x: x)
+             for b, r0 in ((-3.0, 1.0), (-0.05, 7.0), (-300.0, 0.2))]
+    for rho0, L, frac in ((2.0e6, 1.0, 0.5), (3.0e4, 6.0, 0.9), (1.0e8, 0.2, 0.1)):
+        k = frac * math.sqrt(4.0 * math.pi * eta * rho0)
+        for consistent in (False, True):
+            f = slab_zero_mode(k, rho0, L, consistent_gaussian=consistent)
+            cases.append((f, 12.0 * L, lambda x: 1.0))
+    for f, r_max, weight in cases:
+        total = 0.0
+        for reg in f.regions:
+            lo = max(reg.lo, -r_max if f.measure == "dz" else 0.0)
+            hi = min(reg.hi, r_max)
+            with mpmath.workdps(20):
+                total += mpmath.quad(lambda x: reg.evaluate(float(x)) ** 2 * weight(float(x)),
+                                     mpmath.linspace(lo, hi, 40))
+        rep = norm_integral(f, r_max)
+        assert rep.verdict == "Finite"
+        assert rep.value == pytest.approx(float(total), rel=1e-9), f.params
 
 
 def test_norm_integral_requires_wide_window():
