@@ -34,7 +34,7 @@ from .errors import (
     InadmissibleK,
     NonconfiningSign,
 )
-from .fields import Cylinder, Slab, Sphere, divergence_check
+from .fields import GEOMETRIES, divergence_check
 from .oracle import (
     build_grid_hamiltonian,
     build_susy_pair,
@@ -43,17 +43,10 @@ from .oracle import (
     richardson_pair,
     susy_algebra_check,
 )
-from .radial import RadialProblem, effective_potential, find_spectrum
+from .radial import RadialProblem, find_spectrum
 from .slab import build_slab_solution, degeneracy_family, slab_residual
 from .specfun import spin_orbit_eigenvalue
-from .units import (
-    DEFAULT_CONSTANTS,
-    PhysicalConstants,
-    beta_cylinder,
-    beta_sphere,
-    coupling_eta,
-    lambda_threshold,
-)
+from .units import DEFAULT_CONSTANTS, PhysicalConstants, coupling_eta, lambda_threshold
 from .zeromode import (
     cylinder_zero_mode,
     slab_zero_mode,
@@ -86,7 +79,7 @@ _TOP_KEYS = {
 }
 _CONSTANTS_KEYS = {"e_esu", "kappa_n", "m_c2_erg"}
 _GEOMETRY_KEYS = {"kind", "rho", "r0", "L"}
-_GEOMETRY_KINDS = ("sphere", "slab", "cylinder")
+_GEOMETRY_KINDS = tuple(GEOMETRIES)
 
 
 def _reject_unknown(mapping: dict, allowed: set, path: str) -> None:
@@ -162,20 +155,14 @@ def validate_config(raw: dict) -> None:
         if "rho" not in geo:
             raise ConfigError("config key geometry.rho is required (esu/cm^3)")
         _as_number(geo["rho"], "geometry.rho")
-        if kind == "slab":
-            if "L" not in geo:
-                raise ConfigError("config key geometry.L is required for kind 'slab'")
-            if "r0" in geo:
-                raise ConfigError("config key geometry.r0 does not apply to kind 'slab'")
-            if _as_number(geo["L"], "geometry.L") <= 0.0:
-                raise ConfigError("config key geometry.L must be positive")
-        else:
-            if "r0" not in geo:
-                raise ConfigError(f"config key geometry.r0 is required for kind {kind!r}")
-            if "L" in geo:
-                raise ConfigError(f"config key geometry.L does not apply to kind {kind!r}")
-            if _as_number(geo["r0"], "geometry.r0") <= 0.0:
-                raise ConfigError("config key geometry.r0 must be positive")
+        size = GEOMETRIES[kind].size_name
+        other = "r0" if size == "L" else "L"
+        if size not in geo:
+            raise ConfigError(f"config key geometry.{size} is required for kind {kind!r}")
+        if other in geo:
+            raise ConfigError(f"config key geometry.{other} does not apply to kind {kind!r}")
+        if _as_number(geo[size], f"geometry.{size}") <= 0.0:
+            raise ConfigError(f"config key geometry.{size} must be positive")
 
     if "channels" in raw:
         channels = raw["channels"]
@@ -237,13 +224,8 @@ def _geometry_from(raw: dict):
             "config key 'geometry' is required for this command (pass --config FILE)"
         )
     geo = raw["geometry"]
-    kind = geo["kind"]
-    rho = float(geo["rho"])
-    if kind == "sphere":
-        return Sphere(rho0=rho, r0=float(geo["r0"]))
-    if kind == "cylinder":
-        return Cylinder(rho=rho, r0=float(geo["r0"]))
-    return Slab(rho0=rho, L=float(geo["L"]))
+    cls = GEOMETRIES[geo["kind"]]
+    return cls(float(geo["rho"]), float(geo[cls.size_name]))
 
 
 def _out_dir(args) -> Path:
@@ -274,11 +256,7 @@ def _write_json(path: Path, payload: dict, args) -> None:
 
 
 def _geometry_payload(cfg) -> dict:
-    if isinstance(cfg, Sphere):
-        return {"kind": "sphere", "rho_esu_cm3": cfg.rho0, "r0_cm": cfg.r0}
-    if isinstance(cfg, Cylinder):
-        return {"kind": "cylinder", "rho_esu_cm3": cfg.rho, "r0_cm": cfg.r0}
-    return {"kind": "slab", "rho_esu_cm3": cfg.rho0, "L_cm": cfg.L}
+    return {"kind": cfg.kind, "rho_esu_cm3": cfg.density, f"{cfg.size_name}_cm": cfg.size}
 
 
 def cmd_constants(args) -> int:
@@ -294,19 +272,8 @@ def cmd_constants(args) -> int:
         "lambda_threshold_esu_per_cm": lam,
         "geometry": _geometry_payload(cfg),
     }
-    if isinstance(cfg, Sphere):
-        beta = beta_sphere(cfg.rho0, constants)
-        print(f"beta (sphere) = {beta:.6g} cm^-2, beta*r0^2 = {beta * cfg.r0 ** 2:.6g}")
-        payload["beta_cm2"] = beta
-    elif isinstance(cfg, Cylinder):
-        beta = beta_cylinder(cfg.rho, constants)
-        line_density = cfg.rho * math.pi * cfg.r0**2
-        print(f"beta (cylinder) = {beta:.6g} cm^-2, beta*r0^2 = {beta * cfg.r0 ** 2:.6g}")
-        print(f"line density = {line_density:.6g} esu/cm (threshold {lam:.6g} esu/cm)")
-        payload["beta_cm2"] = beta
-        payload["line_density_esu_per_cm"] = line_density
-    else:
-        bound = 4.0 * math.pi * eta * cfg.rho0
+    if cfg.kind == "slab":
+        bound = cfg.k_bound_sq(constants)
         print(f"slab confinement bound 4*pi*eta*rho = {bound:.6g} cm^-2")
         print(
             f"published value at rho = {REFERENCE_SLAB_DENSITY:.3g} esu/cm^3: "
@@ -314,6 +281,13 @@ def cmd_constants(args) -> int:
         )
         payload["k_bound_sq_cm2"] = bound
         payload["published_bound_cm2"] = PUBLISHED_SLAB_BOUND
+    else:
+        beta = cfg.beta(constants)
+        print(f"beta ({cfg.kind}) = {beta:.6g} cm^-2, beta*r0^2 = {beta * cfg.r0 ** 2:.6g}")
+        payload["beta_cm2"] = beta
+    if cfg.kind == "cylinder":
+        print(f"line density = {cfg.line_density:.6g} esu/cm (threshold {lam:.6g} esu/cm)")
+        payload["line_density_esu_per_cm"] = cfg.line_density
     _write_json(_out_dir(args) / "constants.json", payload, args)
     return 0
 
@@ -343,15 +317,15 @@ def cmd_susy_status(args) -> int:
 
 
 def _zero_mode_profile(cfg, constants, raw):
-    if isinstance(cfg, Sphere):
-        return sphere_zero_mode(beta_sphere(cfg.rho0, constants), cfg.r0)
-    if isinstance(cfg, Cylinder):
-        return cylinder_zero_mode(beta_cylinder(cfg.rho, constants), cfg.r0)
+    if cfg.kind == "sphere":
+        return sphere_zero_mode(cfg.beta(constants), cfg.r0)
+    if cfg.kind == "cylinder":
+        return cylinder_zero_mode(cfg.beta(constants), cfg.r0)
     # default k: the family midpoint susy_status also reports, 0 when chargeless
     if "k" in raw:
         k = float(raw["k"])
     elif cfg.rho0 > 0.0:
-        k = 0.5 * math.sqrt(4.0 * math.pi * coupling_eta(constants) * cfg.rho0)
+        k = 0.5 * math.sqrt(cfg.k_bound_sq(constants))
     else:
         k = 0.0
     return slab_zero_mode(
@@ -375,17 +349,14 @@ def cmd_zero_mode(args) -> int:
     except (NonconfiningSign, InadmissibleK) as exc:
         print(f"no closed-form profile for this configuration: {exc}")
         return 0
-    if isinstance(cfg, Slab):
+    if cfg.kind == "slab":
         coords = np.linspace(-3.0 * cfg.L, 3.0 * cfg.L, 401)
         header = ["z_cm", "value", "drift_cm1"]
-        name = "zero_mode_slab.csv"
     else:
-        r0 = cfg.r0
-        coords = np.linspace(0.0, 5.0 * r0, 401)[1:]
+        coords = np.linspace(0.0, 5.0 * cfg.r0, 401)[1:]
         header = ["r_cm", "value", "drift_cm1"]
-        name = f"zero_mode_{_geometry_payload(cfg)['kind']}.csv"
     rows = [(float(x), profile(float(x)), profile.drift_at(float(x))) for x in coords]
-    _write_csv(out / name, header, rows)
+    _write_csv(out / f"zero_mode_{cfg.kind}.csv", header, rows)
     if profile.continuity_defects:
         worst = max(profile.continuity_defects)
         print(f"max relative value jump across interfaces: {worst:.3g}")
@@ -425,35 +396,23 @@ def _channels_from(raw: dict, kind: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _auto_epsilon_lo(p: RadialProblem) -> float:
-    rs = np.geomspace(1.0e-3 * p.r0, 10.0 * p.r0, 1024)
-    vmin = float(np.min(effective_potential(p, rs)))
-    if vmin < 0.0:
-        return 1.05 * vmin
-    return -(abs(p.beta) + 1.0 / p.r0**2)
-
-
 def cmd_spectrum(args) -> int:
     raw = load_config(args.config)
     constants = _constants_from(raw)
     cfg = _geometry_from(raw)
-    if isinstance(cfg, Slab):
+    if cfg.kind == "slab":
         raise ConfigError("spectrum supports sphere and cylinder geometries only")
     out = _out_dir(args)
-    if isinstance(cfg, Sphere):
-        kind, beta = "sphere", beta_sphere(cfg.rho0, constants)
-    else:
-        kind, beta = "cylinder", beta_cylinder(cfg.rho, constants)
+    kind, beta = cfg.kind, cfg.beta(constants)
     n_grid = int(raw.get("n_grid", 400))
     rtol = float(raw.get("rtol", 1.0e-10))
     oracle_n = int(raw.get("oracle_n", 400))
-    default_r_max = 10.0 * cfg.r0 if kind == "sphere" else 20.0 * cfg.r0
-    r_max = float(raw.get("r_max", default_r_max))
+    r_max = float(raw.get("r_max", cfg.default_r_max))
+    eps_lo = float(raw["epsilon_lo"]) if "epsilon_lo" in raw else None
 
     combined_rows = []
     for l, w in _channels_from(raw, kind):
         p = RadialProblem(geometry=kind, l=l, w=w, beta=beta, r0=cfg.r0)
-        eps_lo = float(raw.get("epsilon_lo", _auto_epsilon_lo(p)))
         report = find_spectrum(p, eps_lo, 0.0, n_grid=n_grid, rtol=rtol)
         payload = report.to_json_dict()
         line = (
@@ -496,12 +455,12 @@ def cmd_slab(args) -> int:
     raw = load_config(args.config)
     constants = _constants_from(raw)
     cfg = _geometry_from(raw)
-    if not isinstance(cfg, Slab):
+    if cfg.kind != "slab":
         raise ConfigError("the slab command needs geometry.kind = 'slab'")
     out = _out_dir(args)
     n_samples = int(raw.get("n_samples", 8))
     family = degeneracy_family(cfg, constants, n_samples)
-    k_max = math.sqrt(4.0 * math.pi * coupling_eta(constants) * cfg.rho0)
+    k_max = math.sqrt(cfg.k_bound_sq(constants))
     print(f"admissible family: 0 <= k < k_max = {k_max:.6g} cm^-1 (continuous degeneracy)")
     print(f"sampled k values [cm^-1]: {', '.join(format(k, '.6g') for k in family)}")
     probes = [
@@ -549,7 +508,7 @@ def cmd_slab(args) -> int:
 
 
 def _field_check(cfg, strict: bool) -> float:
-    scale = cfg.L if isinstance(cfg, Slab) else cfg.r0
+    scale = cfg.size
     h = 1.0e-3 * scale
     points = [
         (0.31 * scale, 0.17 * scale, 0.23 * scale),
@@ -570,15 +529,14 @@ def cmd_verify(args) -> int:
     payload: dict = {"geometry": _geometry_payload(cfg)}
 
     gauss = _field_check(cfg, args.strict_gauss)
-    rho = cfg.rho0 if not isinstance(cfg, Cylinder) else cfg.rho
-    rel_gauss = gauss / max(4.0 * math.pi * abs(rho), 1.0e-300)
+    rel_gauss = gauss / max(4.0 * math.pi * abs(cfg.density), 1.0e-300)
     print(
         f"field divergence check ({'strict' if args.strict_gauss else 'as-displayed'} "
         f"normalization): max |div E - 4 pi rho| / |4 pi rho| = {rel_gauss:.3g}"
     )
     payload["gauss_defect_rel"] = rel_gauss
 
-    if isinstance(cfg, Slab):
+    if cfg.kind == "slab":
         sol = build_slab_solution(0, 0.0, cfg, constants)
         residuals = slab_residual(sol, cfg, constants)
         print(
@@ -589,16 +547,11 @@ def cmd_verify(args) -> int:
         _write_json(out / "verify.json", payload, args)
         return 0
 
-    if isinstance(cfg, Sphere):
-        kind, beta = "sphere", beta_sphere(cfg.rho0, constants)
-        default_r_max = 10.0 * cfg.r0
-    else:
-        kind, beta = "cylinder", beta_cylinder(cfg.rho, constants)
-        default_r_max = 20.0 * cfg.r0
+    beta = cfg.beta(constants)
     n = int(raw.get("oracle_n", 400))
-    r_max = float(raw.get("r_max", default_r_max))
+    r_max = float(raw.get("r_max", cfg.default_r_max))
 
-    pair = build_susy_pair(kind, beta, cfg.r0, n, r_max)
+    pair = build_susy_pair(cfg.kind, beta, cfg.r0, n, r_max)
     algebra = susy_algebra_check(pair)
     print(f"nilpotency defect |Q^2| = {algebra['q2_norm']:.3g} (structural)")
     print(
@@ -616,7 +569,7 @@ def cmd_verify(args) -> int:
     print(f"grid ground state epsilon = {ground:.6g} cm^-2 (scale {H.scale():.3g})")
     payload["grid_ground_epsilon_cm2"] = ground
 
-    if kind == "cylinder" and beta * cfg.r0**2 < -1.0:
+    if cfg.kind == "cylinder" and beta * cfg.r0**2 < -1.0:
         overlap = grid_mode_overlap(H, cylinder_zero_mode(beta, cfg.r0))
         print(f"grid ground state vs closed-form zero mode: overlap = {overlap:.6f}")
         payload["zero_mode_overlap"] = overlap

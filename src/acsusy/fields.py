@@ -1,4 +1,9 @@
-"""Piecewise electric fields for the three source geometries.
+"""The three source geometries and their piecewise electric fields.
+
+Each source class is the one place its geometry is defined: its kind
+name, density and size, field, interface coordinate and, for sphere and
+cylinder, the coupling beta and the default radial grid box. Callers
+read these instead of testing the configuration's type.
 
 The default expressions follow the source analysis verbatim, including
 two places where they are not Gauss-law consistent: the cylinder
@@ -16,17 +21,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
 from .errors import BoundaryPoint
+from .units import DEFAULT_CONSTANTS, PhysicalConstants, beta_cylinder, beta_sphere, coupling_eta
 
 __all__ = [
     "Sphere",
     "Slab",
     "Cylinder",
     "ChargeConfiguration",
+    "GEOMETRIES",
     "efield",
     "charge_density",
     "divergence_check",
@@ -34,51 +41,143 @@ __all__ = [
 ]
 
 
+class _Source:
+    """What the three uniform sources share.
+
+    Each source names its density and size fields (the size name is
+    also its config and JSON key) and measures positions by one
+    coordinate: distance from the center, the mid-plane or the axis.
+    The interface sits where that coordinate equals edge.
+    """
+
+    kind: ClassVar[str]
+    density_name: ClassVar[str]
+    size_name: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.density):
+            raise ValueError(f"{self.density_name} must be finite")
+        if not (self.size > 0.0 and math.isfinite(self.size)):
+            raise ValueError(f"{self.size_name} must be positive and finite")
+
+    @property
+    def density(self) -> float:
+        """Charge density, esu/cm^3."""
+        return getattr(self, self.density_name)
+
+    @property
+    def size(self) -> float:
+        """Radius or thickness, cm."""
+        return getattr(self, self.size_name)
+
+    @property
+    def edge(self) -> float:
+        return self.size
+
+
 @dataclass(frozen=True)
-class Sphere:
+class Sphere(_Source):
     """Uniform ball of charge: density rho0 [esu/cm^3] inside radius r0 [cm]."""
 
     rho0: float
     r0: float
 
-    def __post_init__(self) -> None:
-        _check_density(self.rho0, "rho0")
-        if not (self.r0 > 0.0 and math.isfinite(self.r0)):
-            raise ValueError("r0 must be positive and finite")
+    kind: ClassVar[str] = "sphere"
+    density_name: ClassVar[str] = "rho0"
+    size_name: ClassVar[str] = "r0"
+
+    def beta(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+        return beta_sphere(self.rho0, constants)
+
+    @property
+    def default_r_max(self) -> float:
+        """Outer wall of the default radial grid box, cm."""
+        return 10.0 * self.r0
+
+    def coordinate(self, pos: np.ndarray) -> float:
+        return float(np.linalg.norm(pos))
+
+    def field(self, pos: np.ndarray, strict_gauss: bool) -> np.ndarray:
+        r = self.coordinate(pos)
+        if r <= self.r0:
+            return (4.0 * math.pi * self.rho0 / 3.0) * pos
+        return (4.0 * math.pi * self.rho0 * self.r0**3 / 3.0) * pos / r**3
 
 
 @dataclass(frozen=True)
-class Slab:
+class Slab(_Source):
     """Uniform slab: density rho0 [esu/cm^3], thickness L [cm], centered on z = 0."""
 
     rho0: float
     L: float
 
-    def __post_init__(self) -> None:
-        _check_density(self.rho0, "rho0")
-        if not (self.L > 0.0 and math.isfinite(self.L)):
-            raise ValueError("L must be positive and finite")
+    kind: ClassVar[str] = "slab"
+    density_name: ClassVar[str] = "rho0"
+    size_name: ClassVar[str] = "L"
+
+    def k_bound_sq(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+        """Confinement bound 4 pi eta rho0 on k^2, cm^-2; any sign."""
+        return 4.0 * math.pi * coupling_eta(constants) * self.rho0
+
+    @property
+    def edge(self) -> float:
+        return self.L / 2.0
+
+    def coordinate(self, pos: np.ndarray) -> float:
+        return abs(float(pos[2]))
+
+    def field(self, pos: np.ndarray, strict_gauss: bool) -> np.ndarray:
+        z = pos[2]
+        if self.coordinate(pos) <= self.edge:
+            ez = 4.0 * math.pi * self.rho0 * z
+        else:
+            # face value of the interior formula is 2*pi*rho0*L; the
+            # verbatim exterior doubles it, strict_gauss keeps it
+            scale = 2.0 * math.pi if strict_gauss else 4.0 * math.pi
+            ez = scale * self.rho0 * self.L * math.copysign(1.0, z)
+        return np.array([0.0, 0.0, ez])
 
 
 @dataclass(frozen=True)
-class Cylinder:
+class Cylinder(_Source):
     """Uniform infinite cylinder along z: density rho [esu/cm^3], radius r0 [cm]."""
 
     rho: float
     r0: float
 
-    def __post_init__(self) -> None:
-        _check_density(self.rho, "rho")
-        if not (self.r0 > 0.0 and math.isfinite(self.r0)):
-            raise ValueError("r0 must be positive and finite")
+    kind: ClassVar[str] = "cylinder"
+    density_name: ClassVar[str] = "rho"
+    size_name: ClassVar[str] = "r0"
+
+    def beta(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+        return beta_cylinder(self.rho, constants)
+
+    @property
+    def default_r_max(self) -> float:
+        """Outer wall of the default radial grid box, cm."""
+        return 20.0 * self.r0
+
+    @property
+    def line_density(self) -> float:
+        """Charge per unit length pi r0^2 rho, esu/cm."""
+        return self.rho * math.pi * self.r0**2
+
+    def coordinate(self, pos: np.ndarray) -> float:
+        return math.hypot(float(pos[0]), float(pos[1]))
+
+    def field(self, pos: np.ndarray, strict_gauss: bool) -> np.ndarray:
+        perp = np.array([pos[0], pos[1], 0.0])
+        s = self.coordinate(pos)
+        amp = 2.0 * math.pi * self.rho if strict_gauss else self.rho / 2.0
+        if s <= self.r0:
+            return amp * perp
+        return amp * self.r0**2 * perp / s**2
 
 
 ChargeConfiguration = Union[Sphere, Slab, Cylinder]
 
-
-def _check_density(value: float, name: str) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite")
+# config kind -> source class, in the order the CLI lists the kinds
+GEOMETRIES = {cls.kind: cls for cls in (Sphere, Slab, Cylinder)}
 
 
 def efield(
@@ -93,57 +192,18 @@ def efield(
     pos = np.asarray(x, dtype=float)
     if pos.shape != (3,):
         raise ValueError("x must be a 3-vector")
-
-    if isinstance(cfg, Sphere):
-        r = float(np.linalg.norm(pos))
-        if r <= cfg.r0:
-            return (4.0 * math.pi * cfg.rho0 / 3.0) * pos
-        return (4.0 * math.pi * cfg.rho0 * cfg.r0**3 / 3.0) * pos / r**3
-
-    if isinstance(cfg, Slab):
-        z = pos[2]
-        if abs(z) <= cfg.L / 2.0:
-            ez = 4.0 * math.pi * cfg.rho0 * z
-        else:
-            # face value of the interior formula is 2*pi*rho0*L; the
-            # verbatim exterior doubles it, strict_gauss keeps it
-            scale = 2.0 * math.pi if strict_gauss else 4.0 * math.pi
-            ez = scale * cfg.rho0 * cfg.L * math.copysign(1.0, z)
-        return np.array([0.0, 0.0, ez])
-
-    if isinstance(cfg, Cylinder):
-        perp = np.array([pos[0], pos[1], 0.0])
-        s = float(math.hypot(pos[0], pos[1]))
-        amp = 2.0 * math.pi * cfg.rho if strict_gauss else cfg.rho / 2.0
-        if s <= cfg.r0:
-            return amp * perp
-        return amp * cfg.r0**2 * perp / s**2
-
-    raise TypeError(f"unsupported configuration type {type(cfg).__name__}")
+    return cfg.field(pos, strict_gauss)
 
 
 def charge_density(cfg: ChargeConfiguration, x) -> float:
     """Source density at x: the configuration's density inside, 0 outside."""
-    pos = np.asarray(x, dtype=float)
-    if isinstance(cfg, Sphere):
-        return cfg.rho0 if float(np.linalg.norm(pos)) <= cfg.r0 else 0.0
-    if isinstance(cfg, Slab):
-        return cfg.rho0 if abs(pos[2]) <= cfg.L / 2.0 else 0.0
-    if isinstance(cfg, Cylinder):
-        return cfg.rho if math.hypot(pos[0], pos[1]) <= cfg.r0 else 0.0
-    raise TypeError(f"unsupported configuration type {type(cfg).__name__}")
+    inside = cfg.coordinate(np.asarray(x, dtype=float)) <= cfg.edge
+    return cfg.density if inside else 0.0
 
 
 def boundary_distance(cfg: ChargeConfiguration, x) -> float:
     """Distance from x to the nearest region interface."""
-    pos = np.asarray(x, dtype=float)
-    if isinstance(cfg, Sphere):
-        return abs(float(np.linalg.norm(pos)) - cfg.r0)
-    if isinstance(cfg, Slab):
-        return abs(abs(float(pos[2])) - cfg.L / 2.0)
-    if isinstance(cfg, Cylinder):
-        return abs(math.hypot(float(pos[0]), float(pos[1])) - cfg.r0)
-    raise TypeError(f"unsupported configuration type {type(cfg).__name__}")
+    return abs(cfg.coordinate(np.asarray(x, dtype=float)) - cfg.edge)
 
 
 def divergence_check(

@@ -42,7 +42,6 @@ __all__ = [
     "RadialProblem",
     "ShootResult",
     "BoundState",
-    "ZeroModeMatch",
     "SpectrumReport",
     "effective_potential",
     "channel_shift",
@@ -307,12 +306,7 @@ def _kummer_parameters(p: RadialProblem, epsilon: float) -> tuple[float, float, 
     return omega, bpar / 2.0 + half_shift - epsilon / (4.0 * omega), bpar
 
 
-def shoot_interior(
-    p: RadialProblem,
-    epsilon: float,
-    r_match: Optional[float] = None,
-    rtol: float = 1.0e-10,
-) -> ShootResult:
+def shoot_interior(p: RadialProblem, epsilon: float) -> ShootResult:
     """Regular interior solution at r0, in closed form.
 
     For beta != 0 the solution is interior_closed_form's Kummer function;
@@ -322,13 +316,8 @@ def shoot_interior(
     On every eps <= 0 window a >= 0, so M sums positive terms and the
     solution has no node in (0, r0]. a < 0 (or eps > 0 at beta = 0)
     raises RangeExceeded; a non-finite log-derivative (overflow at
-    extreme arguments) raises Overflow. rtol is unused: only the sphere
-    exterior is integrated.
+    extreme arguments) raises Overflow.
     """
-    if r_match is None:
-        r_match = p.r0
-    if r_match != p.r0:
-        raise ValueError("matching radius must be the source radius r0")
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
     alpha = frobenius_exponent(p)
@@ -454,18 +443,18 @@ def interior_closed_form(p: RadialProblem, epsilon: float, r: float) -> float:
 
 @dataclass(frozen=True)
 class BoundState:
+    """A matched state: a bound state, or the eps = 0 zero-mode endpoint."""
+
     epsilon: float
     node_count: int
     match_residual: float
 
-
-@dataclass(frozen=True)
-class ZeroModeMatch:
-    """eps = 0 endpoint where interior and exterior log-derivatives met."""
-
-    epsilon: float
-    match_residual: float
-    node_count: int
+    def to_json_dict(self) -> dict:
+        return {
+            "epsilon_cm2": self.epsilon,
+            "node_count": self.node_count,
+            "match_residual": self.match_residual,
+        }
 
 
 @dataclass(frozen=True)
@@ -482,7 +471,7 @@ class SpectrumReport:
     epsilon_lo: float
     epsilon_hi: float
     bound_states: tuple[BoundState, ...]
-    zero_mode: Optional[ZeroModeMatch]
+    zero_mode: Optional[BoundState]
     classification_notes: str
     continuum_threshold: float = 0.0
     scan_meta: dict = field(default_factory=dict)
@@ -510,37 +499,20 @@ class SpectrumReport:
             "r0_cm": self.problem.r0,
             "epsilon_window_cm2": [self.epsilon_lo, self.epsilon_hi],
             "continuum_threshold_cm2": self.continuum_threshold,
-            "bound_states": [
-                {
-                    "epsilon_cm2": s.epsilon,
-                    "node_count": s.node_count,
-                    "match_residual": s.match_residual,
-                }
-                for s in self.bound_states
-            ],
-            "zero_mode": (
-                None
-                if self.zero_mode is None
-                else {
-                    "epsilon_cm2": self.zero_mode.epsilon,
-                    "match_residual": self.zero_mode.match_residual,
-                    "node_count": self.zero_mode.node_count,
-                }
-            ),
+            "bound_states": [s.to_json_dict() for s in self.bound_states],
+            "zero_mode": None if self.zero_mode is None else self.zero_mode.to_json_dict(),
             "classification_notes": self.classification_notes,
             "scan": dict(self.scan_meta),
         }
 
     def csv_rows(self) -> list[tuple]:
-        rows = [
-            (self.problem.l, self.problem.w, s.epsilon, s.node_count, s.match_residual, "bound")
-            for s in self.bound_states
-        ]
+        labelled = [(s, "bound") for s in self.bound_states]
         if self.zero_mode is not None:
-            z = self.zero_mode
-            rows.append((self.problem.l, self.problem.w, z.epsilon, z.node_count,
-                         z.match_residual, "zero_mode"))
-        return rows
+            labelled.append((self.zero_mode, "zero_mode"))
+        return [
+            (self.problem.l, self.problem.w, s.epsilon, s.node_count, s.match_residual, kind)
+            for s, kind in labelled
+        ]
 
 
 def _wronskian_mismatch(interior: ShootResult, exterior: ShootResult, r0: float) -> float:
@@ -595,14 +567,27 @@ def _bisect_refine(
 _ZERO_MODE_MATCH_TOL = 1.0e-6
 
 
+def _auto_epsilon_lo(p: RadialProblem) -> float:
+    """find_spectrum's default window floor, cm^-2."""
+    rs = np.geomspace(1.0e-3 * p.r0, 10.0 * p.r0, 1024)
+    vmin = float(np.min(effective_potential(p, rs)))
+    if vmin < 0.0:
+        return 1.05 * vmin
+    return -(abs(p.beta) + 1.0 / p.r0**2)
+
+
 def find_spectrum(
     p: RadialProblem,
-    epsilon_lo: float,
+    epsilon_lo: Optional[float] = None,
     epsilon_hi: float = 0.0,
     n_grid: int = 400,
     rtol: float = 1.0e-10,
 ) -> SpectrumReport:
     """Scan the matching mismatch over [epsilon_lo, epsilon_hi].
+
+    epsilon_lo defaults to 1.05 times the minimum of V_eff over
+    (1e-3 r0, 10 r0), or -(|beta| + 1/r0^2) when that minimum is not
+    negative.
 
     The grid is log-spaced in |eps| so shallow states near the
     continuum threshold are resolved. Bracketed sign changes are
@@ -615,6 +600,8 @@ def find_spectrum(
     the coupling threshold and never for spheres. Cylinder mismatches
     are closed form; rtol sets the sphere exterior integration only.
     """
+    if epsilon_lo is None:
+        epsilon_lo = _auto_epsilon_lo(p)
     if not (epsilon_lo < epsilon_hi <= 0.0):
         raise ValueError("window must satisfy epsilon_lo < epsilon_hi <= 0")
     if n_grid < 2:
@@ -624,7 +611,7 @@ def find_spectrum(
     grid = [-g for g in np.geomspace(abs(epsilon_lo), hi_mag, n_grid)]
 
     def mismatch(eps: float) -> float:
-        inner = shoot_interior(p, eps, rtol=rtol)
+        inner = shoot_interior(p, eps)
         outer = shoot_exterior(p, eps, rtol=rtol)
         return _wronskian_mismatch(inner, outer, p.r0)
 
@@ -632,7 +619,7 @@ def find_spectrum(
     states = []
     for i in _scan_sign_changes(fvals):
         root, f_root = _bisect_refine(mismatch, grid[i], grid[i + 1], fvals[i], fvals[i + 1])
-        inner = shoot_interior(p, root, rtol=rtol)
+        inner = shoot_interior(p, root)
         outer = shoot_exterior(p, root, rtol=rtol)
         li = inner.log_derivative
         le = outer.log_derivative
@@ -665,8 +652,7 @@ def find_spectrum(
         le = outer0.log_derivative
         rel = abs(li - le) / (abs(li) + abs(le) + 1.0 / p.r0)
         if rel < _ZERO_MODE_MATCH_TOL and kernel_candidate:
-            zero_mode = ZeroModeMatch(epsilon=0.0, match_residual=rel,
-                                      node_count=inner0.nodes)
+            zero_mode = BoundState(epsilon=0.0, node_count=inner0.nodes, match_residual=rel)
             zero_note = (
                 " The eps = 0 endpoint matches the bounded exterior solution "
                 f"(relative log-derivative gap {rel:.3g}) and the tail "

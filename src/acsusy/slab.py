@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InvalidChannel
 from .fields import Slab
 from .specfun import bessel_j
-from .units import DEFAULT_CONSTANTS, PhysicalConstants, coupling_eta, slab_k_bound
+from .units import DEFAULT_CONSTANTS, PhysicalConstants, slab_k_bound
 from .zeromode import PiecewiseRadialFunction, slab_zero_mode
 
 __all__ = [
@@ -147,7 +147,7 @@ def slab_residual(
     k2 = sol.k * sol.k
     if profile.params.get("variant") == "free":
         return {"interior": 0.0, "exterior": 0.0}
-    omega = 4.0 * math.pi * coupling_eta(constants) * cfg.rho0
+    omega = cfg.k_bound_sq(constants)
     half = cfg.L / 2.0
 
     def region_max(samples, potential_of) -> float:

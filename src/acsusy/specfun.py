@@ -1,8 +1,9 @@
 """Special-function kernel: Kummer 1F1, integer-order Bessel J, channel algebra.
 
 kummer_1f1 wraps scipy.special.hyp1f1 and adds the package's typed
-domain errors and overflow signs; bessel_j is an ascending series plus
-Miller recurrence. Tests check both against mpmath at high precision.
+domain errors and overflow signs; bessel_j wraps scipy.special.jv with
+the package's argument checks. Tests check both against mpmath at high
+precision.
 
 Accuracy targets, real arguments only:
     kummer_1f1   relative error <= 1e-10 for |z| <= 1e4 (values that
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import hyp1f1
+from scipy.special import hyp1f1, jv
 
 from .errors import InvalidChannel, PoleB, RangeExceeded
 
@@ -25,7 +26,6 @@ __all__ = [
 ]
 
 _Z_RANGE = 1.0e4
-_RESCALE = 1.0e250
 
 
 def _tail_sign(a: float, b: float, z: float) -> float:
@@ -67,9 +67,8 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
 def bessel_j(nu: int, x: float) -> float:
     """Bessel function of the first kind, integer order nu >= 0, x >= 0.
 
-    Ascending series up to x = 8 (alternating-series cancellation stays
-    below ~1e-13 there), Miller downward recurrence with the
-    J_0 + 2 sum J_{2m} = 1 normalization beyond.
+    scipy.special.jv with the package's argument checks: a non-integer
+    or negative order, or a negative or non-finite x, raises ValueError.
     """
     if not isinstance(nu, int):
         if isinstance(nu, float) and nu.is_integer():
@@ -82,64 +81,7 @@ def bessel_j(nu: int, x: float) -> float:
         raise ValueError("x must be finite")
     if x < 0.0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0 if nu == 0 else 0.0
-    if x <= 8.0:
-        return _bessel_series(nu, x)
-    return _bessel_miller(nu, x)
-
-
-def _bessel_series(nu: int, x: float) -> float:
-    # leading coefficient through logs; harmless underflow to 0 for
-    # large order at small x is the correct limit
-    log_lead = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
-    if log_lead < -745.0:
-        return 0.0
-    term = math.exp(log_lead)
-    total = term
-    q = 0.25 * x * x
-    m = 0
-    quiet = 0
-    while m < 400:
-        term *= -q / ((m + 1.0) * (nu + m + 1.0))
-        total += term
-        m += 1
-        if abs(term) < 1.0e-17 * (abs(total) + 1.0e-300):
-            quiet += 1
-            if quiet >= 3:
-                return total
-        else:
-            quiet = 0
-    raise RangeExceeded(f"Bessel series did not converge (nu={nu}, x={x})")
-
-
-def _bessel_miller(nu: int, x: float) -> float:
-    m_start = max(nu, int(x)) + 32 + int(0.3 * x)
-    if m_start % 2:
-        m_start += 1
-    j_up = 0.0          # J_{m+1} trial
-    j_cur = 1.0e-30     # J_m trial
-    norm = 0.0          # accumulates J_0 + 2 sum_{even m >= 2} J_m
-    result = 0.0
-    captured = False
-    for m in range(m_start, 0, -1):
-        j_down = (2.0 * m / x) * j_cur - j_up
-        j_up = j_cur
-        j_cur = j_down
-        if m - 1 == nu:
-            result = j_cur
-            captured = True
-        if (m - 1) % 2 == 0 and m - 1 > 0:
-            norm += 2.0 * j_cur
-        if abs(j_cur) > _RESCALE:
-            j_cur /= _RESCALE
-            j_up /= _RESCALE
-            norm /= _RESCALE
-            result /= _RESCALE
-    norm += j_cur  # after the loop j_cur holds the J_0 trial value
-    if not captured:
-        raise RangeExceeded(f"downward recurrence start too low for nu={nu}, x={x}")
-    return result / norm
+    return float(jv(nu, x))
 
 
 def spin_orbit_eigenvalue(l: int, j: float) -> int:

@@ -36,13 +36,11 @@ from .errors import NonconfiningSign
 __all__ = [
     "PhysicalConstants",
     "DEFAULT_CONSTANTS",
-    "CouplingSet",
     "coupling_eta",
     "beta_sphere",
     "beta_cylinder",
     "slab_k_bound",
     "lambda_threshold",
-    "coupling_set",
 ]
 
 
@@ -127,35 +125,3 @@ def lambda_threshold(constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     r0. Always positive; |kappa| enters, not its sign.
     """
     return 4.0 * math.pi * constants.m_c2_erg / abs(constants.e_esu * constants.kappa_n)
-
-
-@dataclass(frozen=True)
-class CouplingSet:
-    """Derived couplings for one geometry.
-
-    beta holds the geometry's quadratic coefficient in cm^-2: the sphere
-    and cylinder oscillator strengths, or for the slab the Gaussian rate
-    4 pi eta rho0 (equal to the k^2 admissibility bound).
-    """
-
-    geometry: str
-    eta_cm_per_esu: float
-    beta: float
-
-
-def coupling_set(
-    geometry: str,
-    density: float,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> CouplingSet:
-    """Bundle eta and the geometry's beta for a given source density."""
-    eta = coupling_eta(constants)
-    if geometry == "sphere":
-        beta = beta_sphere(density, constants)
-    elif geometry == "cylinder":
-        beta = beta_cylinder(density, constants)
-    elif geometry == "slab":
-        beta = 4.0 * math.pi * eta * density
-    else:
-        raise ValueError(f"unknown geometry {geometry!r}")
-    return CouplingSet(geometry=geometry, eta_cm_per_esu=eta, beta=beta)

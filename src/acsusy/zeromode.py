@@ -31,15 +31,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import InadmissibleK, NonconfiningSign
-from .fields import ChargeConfiguration, Cylinder, Slab, Sphere
-from .units import (
-    DEFAULT_CONSTANTS,
-    PhysicalConstants,
-    beta_cylinder,
-    beta_sphere,
-    coupling_eta,
-    lambda_threshold,
-)
+from .fields import ChargeConfiguration
+from .units import DEFAULT_CONSTANTS, PhysicalConstants, coupling_eta, lambda_threshold
 
 __all__ = [
     "TailBehavior",
@@ -426,61 +419,13 @@ def susy_status(
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> SusyVerdict:
     """Classify supersymmetry for the configuration via its zero mode."""
-    if isinstance(cfg, Sphere):
-        beta = beta_sphere(cfg.rho0, constants)
-        data = {"beta": beta, "beta_r0_sq": beta * cfg.r0**2, "geometry": "sphere"}
-        if cfg.rho0 == 0.0:
-            return SusyVerdict(
-                "Broken", "rho0 = 0: constant free-particle mode is not normalizable",
-                math.inf, data,
-            )
-        return SusyVerdict(
-            "Broken",
-            f"exterior mode tends to the constant exp(beta r0^2/2) = "
-            f"{_safe_exp(beta * cfg.r0 ** 2 / 2):.6g}; 3D norm diverges for every rho0",
-            math.inf,
-            data,
-        )
-
-    if isinstance(cfg, Cylinder):
-        beta = beta_cylinder(cfg.rho, constants)
-        p = beta * cfg.r0**2
-        lam = cfg.rho * math.pi * cfg.r0**2
-        data = {
-            "beta": beta,
-            "beta_r0_sq": p,
-            "line_density": lam,
-            "line_density_threshold": lambda_threshold(constants),
-            "geometry": "cylinder",
-        }
-        if cfg.rho == 0.0:
-            return SusyVerdict(
-                "Broken", "rho = 0: constant free-particle mode is not normalizable",
-                math.inf, data,
-            )
-        if p < -1.0:
-            mode = cylinder_zero_mode(beta, cfg.r0)
-            report = norm_integral(mode, 100.0 * cfg.r0)
-            return SusyVerdict(
-                "Unbroken",
-                f"beta r0^2 = {p:.6g} < -1: plane norm of r^{{{p:.6g}}} tail converges",
-                report.value,
-                data,
-            )
-        return SusyVerdict(
-            "Broken",
-            f"beta r0^2 = {p:.6g} >= -1: plane norm of the power tail diverges",
-            math.inf,
-            data,
-        )
-
-    if isinstance(cfg, Slab):
-        eta = coupling_eta(constants)
-        bound = 4.0 * math.pi * eta * cfg.rho0
+    free = f"{cfg.density_name} = 0: constant free-particle mode is not normalizable"
+    if cfg.kind == "slab":
+        bound = cfg.k_bound_sq(constants)
         data = {"k_bound_sq": bound, "geometry": "slab"}
         if bound <= 0.0:
             reason = (
-                "rho0 = 0: constant free-particle mode is not normalizable"
+                free
                 if cfg.rho0 == 0.0
                 else f"4 pi eta rho0 = {bound:.6g} <= 0: no admissible transverse family"
             )
@@ -504,17 +449,37 @@ def susy_status(
             data,
         )
 
-    raise TypeError(f"unsupported configuration type {type(cfg).__name__}")
-
-
-def _mode_for(cfg: ChargeConfiguration, constants: PhysicalConstants,
-              f: PiecewiseRadialFunction) -> PiecewiseRadialFunction:
-    # consistency guard: the profile passed in must belong to cfg
-    geom = f.params.get("geometry")
-    expected = {"Sphere": "sphere", "Slab": "slab", "Cylinder": "cylinder"}[type(cfg).__name__]
-    if geom != expected:
-        raise ValueError(f"profile geometry {geom!r} does not match configuration {expected!r}")
-    return f
+    beta = cfg.beta(constants)
+    p = beta * cfg.r0**2
+    data = {"beta": beta, "beta_r0_sq": p, "geometry": cfg.kind}
+    if cfg.kind == "cylinder":
+        data["line_density"] = cfg.line_density
+        data["line_density_threshold"] = lambda_threshold(constants)
+    if cfg.density == 0.0:
+        return SusyVerdict("Broken", free, math.inf, data)
+    if cfg.kind == "sphere":
+        return SusyVerdict(
+            "Broken",
+            f"exterior mode tends to the constant exp(beta r0^2/2) = "
+            f"{_safe_exp(p / 2):.6g}; 3D norm diverges for every rho0",
+            math.inf,
+            data,
+        )
+    if p < -1.0:
+        mode = cylinder_zero_mode(beta, cfg.r0)
+        report = norm_integral(mode, 100.0 * cfg.r0)
+        return SusyVerdict(
+            "Unbroken",
+            f"beta r0^2 = {p:.6g} < -1: plane norm of r^{{{p:.6g}}} tail converges",
+            report.value,
+            data,
+        )
+    return SusyVerdict(
+        "Broken",
+        f"beta r0^2 = {p:.6g} >= -1: plane norm of the power tail diverges",
+        math.inf,
+        data,
+    )
 
 
 def zero_mode_residual(
@@ -530,9 +495,11 @@ def zero_mode_residual(
     (magnitude eta E_r with its region's branch sign). The relative
     residual is |phi'_fd - W phi| / (|phi'_fd| + |W phi|), with 0/0
     read as 0 (free-particle case). Sample points must not sit on a
-    region boundary.
+    region boundary, and f must be a profile of cfg's geometry.
     """
-    _mode_for(cfg, constants, f)
+    geom = f.params.get("geometry")
+    if geom != cfg.kind:
+        raise ValueError(f"profile geometry {geom!r} does not match configuration {cfg.kind!r}")
     scale = f.params.get("r0") or f.params.get("L") or 1.0
     worst = 0.0
     for x in sample_points:

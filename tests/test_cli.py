@@ -233,3 +233,54 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
         env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert out.stdout.strip() == "[]"
+
+
+# one small config per geometry kind, and the artifacts each subcommand
+# writes for it; None marks the documented typed refusal (exit 2)
+KIND_CONFIGS = {
+    "sphere": dict(SPHERE, channels=[{"l": 0, "j": 0.5}], n_grid=24),
+    "cylinder": dict(CYLINDER, channels=[{"nu": 0}], n_grid=24),
+    "slab": SLAB,
+}
+ARTIFACTS = {
+    "constants": lambda kind: {"constants.json"},
+    "zero-mode": lambda kind: {f"zero_mode_{kind}.csv"},
+    "susy-status": lambda kind: {"susy_status.json"},
+    "spectrum": lambda kind: (
+        None if kind == "slab" else {f"spectrum_{kind}_l0_w0.json", f"spectrum_{kind}.csv"}
+    ),
+    "slab": lambda kind: (
+        {"slab.json", "slab_z_profile.csv", "slab_radial_profile.csv"} if kind == "slab" else None
+    ),
+    "verify": lambda kind: {"verify.json"},
+    "reproduce-paper": lambda kind: {"reproduce_paper.json"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_CONFIGS))
+@pytest.mark.parametrize("command", sorted(ARTIFACTS))
+def test_every_subcommand_on_every_geometry(tmp_path, capsys, command, kind):
+    out = tmp_path / "out"
+    argv = [command, "--config", write_cfg(tmp_path, KIND_CONFIGS[kind]), "--out", str(out)]
+    if command == "spectrum":
+        argv.append("--verify")
+    expected = ARTIFACTS[command](kind)
+    code = main(argv)
+    if expected is None:
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists() or not any(out.iterdir())
+        return
+    assert code == 0
+    assert {f.name for f in out.iterdir()} == expected
+    for name in expected - {"reproduce_paper.json"}:
+        if not name.endswith(".json"):
+            continue
+        data = json.loads((out / name).read_text())
+        if name.startswith("spectrum_"):
+            # spectrum JSON names the geometry by its kind string; the
+            # default grid box is 10 r0 (sphere) or 20 r0 (cylinder)
+            assert data["geometry"] == kind
+            assert data["oracle"]["r_max_cm"] == {"sphere": 10.0, "cylinder": 20.0}[kind]
+        else:
+            assert data["geometry"]["kind"] == kind

@@ -21,8 +21,7 @@ from acsusy import (
     shoot_exterior,
     shoot_interior,
 )
-from acsusy.cli import _auto_epsilon_lo
-from acsusy.radial import _bisect_refine, _scan_sign_changes
+from acsusy.radial import _auto_epsilon_lo, _bisect_refine, _scan_sign_changes
 
 
 def sphere_problem(l=0, w=None, beta=1.0, r0=1.0):
@@ -116,7 +115,7 @@ def test_interior_free_particle_log_derivative():
     p = sphere_problem(l=0, w=0, beta=0.0, r0=1.0)
     eps = -2.25
     kappa = 1.5
-    got = shoot_interior(p, eps, rtol=1e-12).log_derivative
+    got = shoot_interior(p, eps).log_derivative
     assert got == pytest.approx(kappa / math.tanh(kappa), rel=1e-10)
 
 
@@ -125,7 +124,7 @@ def test_interior_free_particle_higher_channel():
     # (kappa r cosh - sinh)/r up to normalization
     p = sphere_problem(l=1, w=1, beta=0.0, r0=1.0)
     kappa = 2.0
-    res = shoot_interior(p, -4.0, rtol=1e-12)
+    res = shoot_interior(p, -4.0)
     v = kappa * math.cosh(kappa) - math.sinh(kappa)
     dv = kappa**2 * math.sinh(kappa)
     want = dv / v - 1.0  # minus 1/r0 from the 1/r factor, r0 = 1
@@ -271,7 +270,7 @@ def test_strongly_coupled_cylinder_keeps_its_zero_mode():
     for l, x, r0 in itertools.product((0, 1, 2), (-20.0, -40.0, -100.0), (0.1, 1.0)):
         if l == 0 or x == -100.0:
             p = cylinder_problem(l=l, w=l, beta=x / r0**2, r0=r0)
-            rep = find_spectrum(p, _auto_epsilon_lo(p), n_grid=120)
+            rep = find_spectrum(p, n_grid=120)
             assert rep.bound_states == ()
             assert rep.zero_mode is not None, (l, x, r0)
             assert rep.zero_mode.node_count == 0
@@ -303,7 +302,7 @@ def test_zero_energy_log_derivative_matches_profile_drift():
     # u = sqrt(r) phi: interior log-slope at r0 is 1/(2 r0) + beta r0
     beta, r0 = -3.0, 1.0
     p = cylinder_problem(l=0, w=0, beta=beta, r0=r0)
-    res = shoot_interior(p, 0.0, rtol=1e-12)
+    res = shoot_interior(p, 0.0)
     drift = cylinder_zero_mode(beta, r0).drift_at(r0)
     want = 0.5 / r0 + drift
     assert abs(res.log_derivative - want) <= 1e-9 * abs(want)

@@ -11,7 +11,6 @@ from acsusy import (
     beta_cylinder,
     beta_sphere,
     coupling_eta,
-    coupling_set,
     lambda_threshold,
     slab_k_bound,
 )
@@ -87,18 +86,3 @@ def test_constants_validation():
         PhysicalConstants(e_esu=4.8032e-10, kappa_n=1.9130, m_c2_erg=-1.0)
     with pytest.raises(ValueError):
         PhysicalConstants(e_esu=4.8032e-10, kappa_n=float("nan"), m_c2_erg=1.5053e-3)
-
-
-def test_coupling_set_routes_by_geometry():
-    rho = 2.0e6
-    for geometry, expect in (
-        ("sphere", beta_sphere(rho)),
-        ("cylinder", beta_cylinder(rho)),
-        ("slab", slab_k_bound(rho)),
-    ):
-        cs = coupling_set(geometry, rho)
-        assert cs.geometry == geometry
-        assert cs.beta == pytest.approx(expect, rel=1e-14)
-        assert cs.eta_cm_per_esu == pytest.approx(coupling_eta(DEFAULT_CONSTANTS))
-    with pytest.raises(ValueError):
-        coupling_set("torus", rho)
