@@ -26,8 +26,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (
     AcsusyError,
     ConfigError,

@@ -23,8 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
-import numpy as np
-
+from ._lazy import np
 from .errors import BoundaryPoint
 from .units import DEFAULT_CONSTANTS, PhysicalConstants, beta_cylinder, beta_sphere, coupling_eta
 

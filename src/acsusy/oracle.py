@@ -24,9 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.linalg import eigh_tridiagonal
-
+from ._lazy import linalg, np
 from .errors import GridTooCoarse
 from .radial import GEOM_CYLINDER, GEOM_SPHERE, RadialProblem, effective_potential
 
@@ -125,8 +123,8 @@ def lowest_eigenvalues(H: GridHamiltonian, m: int) -> np.ndarray:
         raise ValueError("m must be between 1 and 10")
     if m > H.n:
         raise ValueError("m exceeds the matrix dimension")
-    return eigh_tridiagonal(H.diag, H.offdiag, eigvals_only=True, select="i",
-                            select_range=(0, m - 1))
+    return linalg.eigh_tridiagonal(H.diag, H.offdiag, eigvals_only=True, select="i",
+                                   select_range=(0, m - 1))
 
 
 def eigenvector(H: GridHamiltonian, k: int = 0) -> np.ndarray:
@@ -137,7 +135,7 @@ def eigenvector(H: GridHamiltonian, k: int = 0) -> np.ndarray:
     """
     if not isinstance(k, (int, np.integer)) or not (0 <= k < H.n):
         raise ValueError(f"level index must be an integer in [0, {H.n}), got {k!r}")
-    x = eigh_tridiagonal(H.diag, H.offdiag, select="i", select_range=(k, k))[1][:, 0]
+    x = linalg.eigh_tridiagonal(H.diag, H.offdiag, select="i", select_range=(k, k))[1][:, 0]
     if x[np.argmax(np.abs(x))] < 0.0:
         x = -x
     return x
@@ -235,8 +233,8 @@ def build_susy_pair(
 
 def _tri_lowest(diag: np.ndarray, off: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric tridiagonal."""
-    return float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                  select_range=(0, 0))[0])
+    return float(linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                         select_range=(0, 0))[0])
 
 
 def susy_algebra_check(pair: DiscreteSusyPair) -> dict:

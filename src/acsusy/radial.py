@@ -32,9 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-from scipy.special import ive, kve
-
+from ._lazy import np, special
 from .errors import InvalidChannel, NoDecaySeed, Overflow, RangeExceeded
 from .specfun import kummer_1f1
 
@@ -314,9 +312,10 @@ def shoot_interior(p: RadialProblem, epsilon: float) -> ShootResult:
     (DLMF 13.3.15). For beta = 0 it is sqrt(r) I_{alpha-1/2}(kappa r),
     kappa^2 = -eps, evaluated through the scaled ive (r^alpha at eps = 0).
     On every eps <= 0 window a >= 0, so M sums positive terms and the
-    solution has no node in (0, r0]. a < 0 (or eps > 0 at beta = 0)
-    raises RangeExceeded; a non-finite log-derivative (overflow at
-    extreme arguments) raises Overflow.
+    solution has no node in (0, r0]. Where M overflows, the ratio comes
+    from Kummer's transformation (_kummer_ratio). a < 0 (or eps > 0 at
+    beta = 0) raises RangeExceeded; a non-finite log-derivative raises
+    Overflow.
     """
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
@@ -330,16 +329,36 @@ def shoot_interior(p: RadialProblem, epsilon: float) -> ShootResult:
         kappa = math.sqrt(-epsilon)
         x = kappa * r0
         nu = alpha - 0.5
-        return _closed_state(p, alpha / r0 + kappa * ive(nu + 1.0, x) / ive(nu, x), "interior")
+        return _closed_state(
+            p, alpha / r0 + kappa * special.ive(nu + 1.0, x) / special.ive(nu, x), "interior"
+        )
     omega, a, bpar = _kummer_parameters(p, epsilon)
     if a < 0.0:
         raise RangeExceeded(
             f"Kummer parameter a = {a:g} < 0 at eps = {epsilon:g}: outside the node-free range"
         )
     z = omega * r0 * r0
-    ratio = kummer_1f1(a + 1.0, bpar + 1.0, z) / kummer_1f1(a, bpar, z)
+    # at a = 0 the ratio's coefficient a/b is 0; skipping it also skips
+    # the transformed denominator, which underflows to 0 at large z
+    ratio = 0.0 if a == 0.0 else _kummer_ratio(a, bpar, z)
     return _closed_state(p, alpha / r0 - omega * r0 + 2.0 * omega * r0 * (a / bpar) * ratio,
                          "interior")
+
+
+def _kummer_ratio(a: float, b: float, z: float) -> float:
+    """M(a+1, b+1, z) / M(a, b, z).
+
+    Where either function overflows (from z of a few hundred on; for
+    a > b the denominator can overflow alone, which would read as a
+    ratio of 0), Kummer's transformation M(a, b, z) = e^z M(b-a, b, -z)
+    (DLMF 13.2.39) cancels the common e^z.
+    """
+    top, bottom = kummer_1f1(a + 1.0, b + 1.0, z), kummer_1f1(a, b, z)
+    if math.isinf(top) or math.isinf(bottom):
+        top, bottom = kummer_1f1(b - a, b + 1.0, -z), kummer_1f1(b - a, b, -z)
+    if bottom == 0.0:
+        raise Overflow(f"1F1 ratio denominator underflows at a = {a:g}, b = {b:g}, z = {z:g}")
+    return top / bottom
 
 
 def _bessel_k_ratio(mu: float, x: float) -> float:
@@ -351,7 +370,7 @@ def _bessel_k_ratio(mu: float, x: float) -> float:
     recurrence, so upward recursion is stable.
     """
     nu = mu - math.floor(mu)
-    q = kve(nu - 1.0, x) / kve(nu, x)
+    q = special.kve(nu - 1.0, x) / special.kve(nu, x)
     while nu + 0.5 < mu:
         q = 1.0 / (q + 2.0 * nu / x)
         nu += 1.0

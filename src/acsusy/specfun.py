@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import hyp1f1, jv
-
+from ._lazy import special
 from .errors import InvalidChannel, PoleB, RangeExceeded
 
 __all__ = [
@@ -56,7 +55,7 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
         raise PoleB(f"1F1 undefined at nonpositive integer b = {b}")
     if abs(z) > _Z_RANGE:
         raise RangeExceeded(f"|z| = {abs(z):g} outside documented range {_Z_RANGE:g}")
-    value = float(hyp1f1(a, b, z))
+    value = float(special.hyp1f1(a, b, z))
     if math.isinf(value):
         return math.copysign(math.inf, _tail_sign(a, b, z))
     if math.isnan(value):
@@ -81,7 +80,7 @@ def bessel_j(nu: int, x: float) -> float:
         raise ValueError("x must be finite")
     if x < 0.0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    return float(jv(nu, x))
+    return float(special.jv(nu, x))
 
 
 def spin_orbit_eigenvalue(l: int, j: float) -> int:

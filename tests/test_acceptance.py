@@ -23,7 +23,6 @@ from acsusy import (
     build_susy_pair,
     coupling_eta,
     cylinder_zero_mode,
-    effective_potential,
     find_spectrum,
     kummer_1f1,
     lambda_threshold,
@@ -43,12 +42,6 @@ RHO_REF = 2.0e6  # esu/cm^3, the density every published slab number uses
 
 def _ok(n: int, msg: str) -> None:
     print(f"CRITERION {n}: PASS - {msg}")
-
-
-def _auto_eps_lo(p: RadialProblem) -> float:
-    rs = np.geomspace(1e-3 * p.r0, 10.0 * p.r0, 1024)
-    vmin = float(np.min(effective_potential(p, rs)))
-    return 1.05 * vmin if vmin < 0.0 else -(abs(p.beta) + 1.0 / p.r0**2)
 
 
 def test_criterion_01_slab_bound_matches_published_number():
@@ -145,7 +138,7 @@ def test_criterion_06_dual_method_spectrum_agreement():
     gaps = []
     for beta in (-2.5, -3.0520566, -3.5, -4.5, -6.0):
         p = RadialProblem(geometry="cylinder", l=0, w=0, beta=beta, r0=1.0)
-        report = find_spectrum(p, _auto_eps_lo(p), 0.0, n_grid=120, rtol=1e-9)
+        report = find_spectrum(p, n_grid=120, rtol=1e-9)
         assert report.zero_mode is not None
         target = 0.0  # the matched level; bound_states stays empty
         oracle = float(richardson_pair(p, 600, 20.0, 1)["extrapolated"][0])
@@ -163,7 +156,7 @@ def test_criterion_07_sphere_has_no_bound_states():
     for beta in (-10.0, -3.0, 3.0, 10.0):
         for l, w in channels:
             p = RadialProblem(geometry="sphere", l=l, w=w, beta=beta, r0=1.0)
-            report = find_spectrum(p, _auto_eps_lo(p), 0.0, n_grid=100, rtol=1e-8)
+            report = find_spectrum(p, n_grid=100, rtol=1e-8)
             assert len(report.bound_states) == 0
             assert report.zero_mode is None
             assert "NoBoundStates" in report.classification_notes

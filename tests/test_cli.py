@@ -220,19 +220,35 @@ def test_no_timestamp_reruns_are_byte_identical(tmp_path):
     assert b"generated_at" in (a / "constants.json").read_bytes()
 
 
-def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
-    # setup time and resident memory of every CLI run depend on it
+def _cold(args, cwd):
+    """Runs python args in a fresh interpreter that imports acsusy from this tree."""
     src = str(Path(acsusy.__file__).resolve().parents[1])
-    code = (
-        "import sys, acsusy.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, cwd=cwd,
         env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
-    assert out.stdout.strip() == "[]"
+
+
+def test_cli_start_leaves_numpy_and_scipy_unloaded(tmp_path):
+    # the setup time of every CLI run depends on it; the verdict
+    # commands never need numpy or scipy, so they must not load them
+    code = (
+        "import contextlib, io, sys\n"
+        "from acsusy.cli import load_config, main\n"
+        "def heavy():\n"
+        "    return sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy')))\n"
+        "load_config(sys.argv[1])\n"
+        "seen = [heavy()]\n"
+        "for cmd in ('susy-status', 'constants'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([cmd, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "    seen.append(heavy())\n"
+        "print(seen)\n"
+    )
+    out = _cold(["-c", code, write_cfg(tmp_path, SPHERE), str(tmp_path / "out")], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[[], [], []]"
+    assert {f.name for f in (tmp_path / "out").iterdir()} == {"susy_status.json", "constants.json"}
 
 
 # one small config per geometry kind, and the artifacts each subcommand
@@ -284,3 +300,37 @@ def test_every_subcommand_on_every_geometry(tmp_path, capsys, command, kind):
             assert data["oracle"]["r_max_cm"] == {"sphere": 10.0, "cylinder": 20.0}[kind]
         else:
             assert data["geometry"]["kind"] == kind
+
+
+# each layer loads numpy/scipy on first use; every other test imports
+# numpy first, so these runs are the only ones that take those paths cold
+COLD_RUNS = [
+    ("zero-mode", "sphere"),
+    ("zero-mode", "cylinder"),
+    ("zero-mode", "slab"),
+    ("spectrum", "sphere"),
+    ("spectrum", "cylinder"),
+    ("verify", "sphere"),
+    ("verify", "cylinder"),
+    ("verify", "slab"),
+    ("slab", "slab"),
+]
+
+
+@pytest.mark.parametrize("command,kind", COLD_RUNS)
+def test_cold_interpreter_matches_in_process(tmp_path, capsys, monkeypatch, command, kind):
+    cfg = write_cfg(tmp_path, KIND_CONFIGS[kind])
+    argv = [command, "--config", cfg, "--out", "out", "--no-timestamp"]
+    if command == "spectrum":
+        argv.append("--verify")
+    cold_dir, warm_dir = tmp_path / "cold", tmp_path / "warm"
+    cold_dir.mkdir()
+    warm_dir.mkdir()
+    cold = _cold(["-m", "acsusy.cli", *argv], cold_dir)
+    monkeypatch.chdir(warm_dir)
+    code = main(argv)
+    assert (cold.returncode, cold.stdout) == (code, capsys.readouterr().out)
+    names = sorted(f.name for f in (warm_dir / "out").iterdir())
+    assert names and names == sorted(f.name for f in (cold_dir / "out").iterdir())
+    for name in names:
+        assert (cold_dir / "out" / name).read_bytes() == (warm_dir / "out" / name).read_bytes()

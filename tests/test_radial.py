@@ -10,6 +10,7 @@ import pytest
 from acsusy import (
     InvalidChannel,
     NoDecaySeed,
+    Overflow,
     RangeExceeded,
     RadialProblem,
     channel_shift,
@@ -205,6 +206,46 @@ def test_closed_form_log_derivatives_match_mpmath():
                     assert got.log_derivative == pytest.approx(
                         _mp_log_derivative(psi, r0), rel=1e-10, abs=1e-12 / r0
                     ), (p, eps)
+
+
+# strong-coupling configs where direct hyp1f1 overflows, so the ratio
+# M(a+1, b+1, z)/M(a, b, z) comes from Kummer's transformation
+STRONG_COUPLING = [
+    ("cylinder", 0, 0, 400.0),
+    ("cylinder", 0, 0, -400.0),
+    ("cylinder", 1, -1, -800.0),
+    ("sphere", 0, 0, 800.0),
+    ("sphere", 1, -2, -800.0),
+]
+
+
+def test_strong_coupling_interior_matches_mpmath():
+    cases = []
+    for geometry, l, w, beta in STRONG_COUPLING:
+        lo = _auto_epsilon_lo(RadialProblem(geometry=geometry, l=l, w=w, beta=beta, r0=1.0))
+        for eps in [0.0] + [-float(g) for g in np.geomspace(-lo, 1e-6 * -lo, 12)]:
+            cases.append((geometry, l, w, beta, eps))
+    # a = 141 > b = 1: M(a, b, z) overflows while M(a+1, b+1, z) does not
+    cases.append(("cylinder", 0, 0, 392.6050291516406, -220077.10930605643))
+    with mpmath.workdps(40):
+        for geometry, l, w, beta, eps in cases:
+            p = RadialProblem(geometry=geometry, l=l, w=w, beta=beta, r0=1.0)
+            want = _mp_log_derivative(_mp_interior(geometry, l, w, beta, eps), 1.0)
+            got = shoot_interior(p, eps).log_derivative
+            # rounding b - a costs ulp(b)/a: 2e-10 at a = 8e-7 in sphere (0, 0)
+            assert got == pytest.approx(want, rel=1e-9), (p, eps)
+    # a = 3e-304: the transformed denominator e^-z M(a, b, z) underflows to 0
+    with pytest.raises(Overflow):
+        shoot_interior(sphere_problem(l=0, w=0, beta=800.0), -1e-300)
+
+
+def test_strong_coupling_cylinder_spectrum_is_finite():
+    # direct hyp1f1 overflows from |beta| r0^2 ~ 342 (l = 0) and ~ 710 (l >= 1)
+    for l, w, beta, hosts in ((0, 0, 400.0, False), (0, 0, -400.0, True), (1, -1, -800.0, False),
+                              (2, 2, -1.0e4, True)):
+        rep = find_spectrum(cylinder_problem(l=l, w=w, beta=beta), n_grid=60)
+        assert rep.bound_states == ()
+        assert (rep.zero_mode is not None) == hosts, (l, w, beta)
 
 
 def test_interior_outside_node_free_range_is_refused():
