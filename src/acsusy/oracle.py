@@ -9,9 +9,12 @@ gives a real symmetric tridiagonal matrix whose eigenvalues converge
 at second order in h; Richardson extrapolation of an n / 2n pair
 removes the leading error term.
 
-This route shares no code with the shooting integrator: different
-variable (phi, not the reduced psi), different discretization,
-different eigenvalue algorithm (Sturm bisection, not root bracketing).
+This route is independent of shooting except for the channel potential:
+it takes V from radial.effective_potential, and otherwise uses a
+different variable (phi, not the reduced psi), a different
+discretization and a different eigenvalue algorithm (LAPACK tridiagonal
+eigensolves through scipy.linalg.eigh_tridiagonal, not closed-form
+matching and root bracketing).
 
 The same machinery exposes the factorized pair: a discrete first-order
 operator Q built from the superpotential drift W gives H_minus = Q^T Q

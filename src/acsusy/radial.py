@@ -20,8 +20,11 @@ Matching uses closed forms wherever the paper's potentials admit them.
 The interior (both geometries) is the Kummer function
 r^alpha e^{-omega r^2/2} M(a, b, omega r^2), or sqrt(r) I(kappa r) at
 beta = 0. The cylinder exterior potential is exactly C/r^2, so its
-decaying solution is sqrt(r) K_mu(kappa r). Only the sphere exterior,
-with its 1/r^3 and 1/r^4 tails, is integrated (adaptive Cash-Karp).
+decaying solution is sqrt(r) K_mu(kappa r). The sphere exterior at
+eps = 0 is r^-l e^{-s/r} M(a, 2l+2, 2s/r) (Whittaker's equation in
+1/r). Only the sphere exterior at eps < 0, with its 1/r^3 and 1/r^4
+tails, is integrated: adaptive Cash-Karp on u = e^{kappa r} psi, which
+takes the decay out of the integrated function.
 
 Energies and potentials are cm^-2 throughout.
 """
@@ -131,33 +134,18 @@ def effective_potential(p: RadialProblem, r):
     return out
 
 
-def _scalar_potential(p: RadialProblem) -> Callable[[float], float]:
-    """Sphere potential with precomputed constants for the integrator hot loop."""
-    cent = _centrifugal(p)
-    b = p.beta
-    b2 = b * b
-    r0 = p.r0
-    shift = -2.0 * b * (p.w + 1.5)
-    c3 = -2.0 * b * p.w * r0**3
-    c4 = b2 * r0**6
-
-    def vfun(r: float) -> float:
-        rr = r * r
-        if r <= r0:
-            return cent / rr + shift + b2 * rr
-        return cent / rr + c3 / (rr * r) + c4 / (rr * rr)
-
-    return vfun
-
-
 @dataclass(frozen=True)
 class ShootResult:
     """State of the reduced wavefunction at the matching radius.
 
     The represented function is exp(log_scale) * psi; only ratios of
-    (psi, dpsi) matter for matching, so log_scale is informational.
-    Closed-form solutions report psi = 1, dpsi = log-derivative and
-    steps = 0; steps counts accepted integrator steps otherwise.
+    (psi, dpsi) matter for matching, so log_scale is informational. For
+    the integrated sphere exterior it is the log of the function's growth
+    from its seed value 1 at r_max down to r0: the integrator's
+    renormalizations plus the factored-out kappa (r_max - r0).
+    Closed-form solutions report psi = 1, dpsi = log-derivative,
+    log_scale = 0 and steps = 0; steps counts accepted integrator steps
+    otherwise.
     """
 
     r: float
@@ -197,26 +185,33 @@ _RENORM_AT = 1.0e100
 
 
 def _integrate(
-    vfun: Callable[[float], float],
-    eps: float,
+    cent: float,
+    c3: float,
+    c4: float,
+    kappa: float,
     r_from: float,
     r_to: float,
-    y: float,
-    dy: float,
     rtol: float,
 ) -> tuple[float, float, float, int, int]:
-    """Adaptive Cash-Karp integration of psi'' = (V - eps) psi.
+    """Adaptive Cash-Karp integration of the sphere exterior at eps = -kappa^2.
 
-    Direction follows sign(r_to - r_from). Renormalizes the state past
-    1e100 and accumulates the factor in log_scale. Returns
-    (psi, dpsi, log_scale, nodes, steps).
+    Integrates u = e^{kappa r} psi, which obeys u'' = 2 kappa u' + V u
+    with V = cent/r^2 + c3/r^3 + c4/r^4, from u = 1, u' = 0 at r_from
+    to r_to. The unwanted branch of psi grows like e^{kappa r}, so
+    inward it still decays, now relative to a u that stays near 1 where
+    V is small. Every argument must be a Python float: the loop is pure
+    scalar arithmetic, and numpy scalars would make each stage several
+    times slower. Renormalizes the state past 1e100 and accumulates the
+    factor in log_scale. Returns (u, u', log_scale, nodes, steps).
     """
     direction = 1.0 if r_to >= r_from else -1.0
     span = abs(r_to - r_from)
+    y, dy = 1.0, 0.0
     if span == 0.0:
         return y, dy, 0.0, 0, 0
     h = direction * span * 1.0e-3
     r = r_from
+    two_kappa = 2.0 * kappa
     log_scale = 0.0
     nodes = 0
     steps = 0
@@ -228,36 +223,43 @@ def _integrate(
             break
         if (h - rem) * direction > 0.0:
             h = rem
+        q = 1.0 / r
         k1y = dy
-        k1d = (vfun(r) - eps) * y
+        k1d = two_kappa * dy + q * q * (cent + q * (c3 + q * c4)) * y
 
+        q = 1.0 / (r + 0.2 * h)
         yi = y + h * (_A21 * k1y)
         k2y = dy + h * (_A21 * k1d)
-        k2d = (vfun(r + 0.2 * h) - eps) * yi
+        k2d = two_kappa * k2y + q * q * (cent + q * (c3 + q * c4)) * yi
 
+        q = 1.0 / (r + 0.3 * h)
         yi = y + h * (_A31 * k1y + _A32 * k2y)
         k3y = dy + h * (_A31 * k1d + _A32 * k2d)
-        k3d = (vfun(r + 0.3 * h) - eps) * yi
+        k3d = two_kappa * k3y + q * q * (cent + q * (c3 + q * c4)) * yi
 
+        q = 1.0 / (r + 0.6 * h)
         yi = y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y)
         k4y = dy + h * (_A41 * k1d + _A42 * k2d + _A43 * k3d)
-        k4d = (vfun(r + 0.6 * h) - eps) * yi
+        k4d = two_kappa * k4y + q * q * (cent + q * (c3 + q * c4)) * yi
 
+        q = 1.0 / (r + h)
         yi = y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y)
         k5y = dy + h * (_A51 * k1d + _A52 * k2d + _A53 * k3d + _A54 * k4d)
-        k5d = (vfun(r + h) - eps) * yi
+        k5d = two_kappa * k5y + q * q * (cent + q * (c3 + q * c4)) * yi
 
+        q = 1.0 / (r + 0.875 * h)
         yi = y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y)
         k6y = dy + h * (_A61 * k1d + _A62 * k2d + _A63 * k3d + _A64 * k4d + _A65 * k5d)
-        k6d = (vfun(r + 0.875 * h) - eps) * yi
+        k6d = two_kappa * k6y + q * q * (cent + q * (c3 + q * c4)) * yi
 
         y_new = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B6 * k6y)
         d_new = dy + h * (_B1 * k1d + _B3 * k3d + _B4 * k4d + _B6 * k6d)
         err_y = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y)
         err_d = h * (_E1 * k1d + _E3 * k3d + _E4 * k4d + _E5 * k5d + _E6 * k6d)
 
+        # u' starts at 0, so its error is measured against psi' = u' - kappa u
         sc_y = abs(y) + abs(h * dy) + 1.0e-300
-        sc_d = abs(dy) + abs(h * k1d) + 1.0e-300
+        sc_d = abs(dy) + kappa * abs(y) + abs(h * k1d) + 1.0e-300
         err = max(abs(err_y) / sc_y, abs(err_d) / sc_d) / rtol
         if not math.isfinite(err):
             raise Overflow(f"non-finite state during integration near r = {r:g}")
@@ -388,9 +390,12 @@ def shoot_exterior(
     Cylinder: the exterior potential is exactly (mu^2 - 1/4)/r^2 with
     mu = |w + beta r0^2|, so the solution is sqrt(r) K_mu(kappa r) in
     closed form (K' from DLMF 10.29, K_{mu-1}/K_mu from
-    _bessel_k_ratio); r_max and rtol are unused. Sphere: integrated inward from r_max with the seed
-    exp(-kappa r); r_max defaults to max(25/kappa, 3 r0) and must satisfy
-    r_max >= 20/kappa when given explicitly.
+    _bessel_k_ratio); r_max and rtol are unused. Sphere: integrated
+    inward from r_max with the seed exp(-kappa r), as
+    u = e^{kappa r} psi (see _integrate); r_max defaults to
+    max(25/kappa, 3 r0) and must satisfy r_max >= 20/kappa when given
+    explicitly. The result holds Python floats whatever the float type
+    of epsilon.
     """
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
@@ -410,35 +415,35 @@ def shoot_exterior(
         raise ValueError(f"r_max = {r_max:g} below the asymptotic region 20/kappa = {20.0 / kappa:g}")
     if r_max <= p.r0:
         raise ValueError("r_max must exceed r0")
-    vfun = _scalar_potential(p)
-    y, dy, log_scale, nodes, steps = _integrate(
-        vfun, epsilon, r_max, p.r0, 1.0, -kappa, rtol
+    r0, b, r_max = float(p.r0), float(p.beta), float(r_max)
+    u, du, log_scale, nodes, steps = _integrate(
+        _centrifugal(p), -2.0 * b * p.w * r0**3, b * b * r0**6, kappa, r_max, r0, float(rtol)
     )
-    return ShootResult(r=p.r0, psi=y, dpsi=dy, log_scale=log_scale, nodes=nodes, steps=steps)
+    return ShootResult(r=p.r0, psi=u, dpsi=du - kappa * u,
+                       log_scale=log_scale + kappa * (r_max - r0), nodes=nodes, steps=steps)
 
 
-def _exterior_zero_energy(p: RadialProblem, rtol: float = 1.0e-11) -> ShootResult:
-    """Bounded exterior solution at eps = 0, as a state at r0.
+def _exterior_zero_energy(p: RadialProblem) -> ShootResult:
+    """Bounded exterior solution at eps = 0, as a state at r0, in closed form.
 
-    The cylinder exterior potential is exactly C/r^2, so the decaying
-    eps = 0 solution is the exact power r^q with
-    q = 1/2 - |w + beta r0^2|; no integration is needed. The ball
-    exterior has 1/r^3 and 1/r^4 tails on top of the centrifugal term,
-    so the bounded solution is integrated inward from a power-law seed.
+    The cylinder exterior potential is exactly C/r^2, so the bounded
+    solution is the power r^q with q = 1/2 - |w + beta r0^2|. In the
+    ball exterior, t = 1/r and psi = phi/t turn the equation into
+    Whittaker's in x = 2 s t with s = |beta| r0^3 (DLMF 13.14), so the
+    bounded solution is psi = r^-l e^{-s/r} M(a, 2l+2, 2s/r) with
+    k = sign(beta) w and a = l + 1 - k in {0, 1, 2l+1, 2l+2}. Its
+    log-derivative takes M' from DLMF 13.3.15; at a = 0, M = 1.
     """
+    r0 = p.r0
     if p.geometry == GEOM_CYLINDER:
-        return _closed_state(p, (0.5 - abs(p.w + p.beta * p.r0**2)) / p.r0, "exterior")
-    # ball: bounded branch psi ~ r^-l (1 + c1/r + ...) with c1 from the
-    # leading 1/r^3 tail of the potential; overall r_far^-l scale dropped
-    r_far = 60.0 * p.r0 * max(1.0, abs(p.beta) * p.r0**2)
-    c1 = -p.beta * p.w * p.r0**3 / (p.l + 1.0)
-    y0 = 1.0 + c1 / r_far
-    dy0 = (-p.l / r_far) * y0 - c1 / r_far**2
-    vfun = _scalar_potential(p)
-    y, dy, log_scale, nodes, steps = _integrate(
-        vfun, 0.0, r_far, p.r0, y0, dy0, rtol
-    )
-    return ShootResult(r=p.r0, psi=y, dpsi=dy, log_scale=log_scale, nodes=nodes, steps=steps)
+        return _closed_state(p, (0.5 - abs(p.w + p.beta * r0**2)) / r0, "exterior")
+    s = abs(p.beta) * r0**3
+    a = p.l + 1.0 - math.copysign(1.0, p.beta) * p.w
+    b = 2.0 * p.l + 2.0
+    # at a = 0 the term is 0; skipping it, as in shoot_interior, also skips
+    # the transformed denominator, which underflows to 0 at large z
+    ratio = 0.0 if a == 0.0 else _kummer_ratio(a, b, 2.0 * s / r0)
+    return _closed_state(p, (s / r0 - p.l - 2.0 * s / r0 * (a / b) * ratio) / r0, "exterior")
 
 
 def interior_closed_form(p: RadialProblem, epsilon: float, r: float) -> float:
@@ -609,15 +614,17 @@ def find_spectrum(
     negative.
 
     The grid is log-spaced in |eps| so shallow states near the
-    continuum threshold are resolved. Bracketed sign changes are
-    refined by bisection plus a secant polish. When the window touches
-    eps = 0 the endpoint is checked separately against the bounded
-    zero-energy exterior solution (exact power law for the cylinder)
-    and reported as a zero mode only when the log-derivatives agree AND
-    the matched state is a square-integrable kernel state of the
-    first-order operator; that combination occurs for cylinders below
-    the coupling threshold and never for spheres. Cylinder mismatches
-    are closed form; rtol sets the sphere exterior integration only.
+    continuum threshold are resolved; its points are Python floats.
+    Bracketed sign changes are refined by bisection plus a secant
+    polish. When the window touches eps = 0 the endpoint is checked
+    separately against the bounded zero-energy exterior solution, in
+    closed form for both geometries (a power law for the cylinder, a
+    Kummer function of 1/r for the sphere), and reported as a zero mode
+    only when the log-derivatives agree AND the matched state is a
+    square-integrable kernel state of the first-order operator; that
+    combination occurs for cylinders below the coupling threshold and
+    never for spheres. Only the sphere's eps < 0 exterior is
+    integrated, and rtol sets that integration only.
     """
     if epsilon_lo is None:
         epsilon_lo = _auto_epsilon_lo(p)
@@ -627,7 +634,8 @@ def find_spectrum(
         raise ValueError("n_grid must be at least 2")
 
     hi_mag = abs(epsilon_hi) if epsilon_hi < 0.0 else 1.0e-6 * abs(epsilon_lo)
-    grid = [-g for g in np.geomspace(abs(epsilon_lo), hi_mag, n_grid)]
+    # Python floats: numpy scalars would slow every integrator stage
+    grid = [-g for g in np.geomspace(abs(epsilon_lo), hi_mag, n_grid).tolist()]
 
     def mismatch(eps: float) -> float:
         inner = shoot_interior(p, eps)

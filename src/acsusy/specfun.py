@@ -6,8 +6,10 @@ the package's argument checks. Tests check both against mpmath at high
 precision.
 
 Accuracy targets, real arguments only:
-    kummer_1f1   relative error <= 1e-10 for |z| <= 1e4 (values that
-                 overflow float64 return +/-inf honestly)
+    kummer_1f1   relative error <= 1e-10 for |z| <= 2e4 (values that
+                 overflow float64 return +/-inf honestly); the sphere's
+                 zero-energy exterior takes z = 2 |beta| r0^2, so this
+                 covers |beta| r0^2 <= 1e4 there
     bessel_j     absolute error <= 1e-10 for x >= 0
 """
 
@@ -24,7 +26,7 @@ __all__ = [
     "spin_orbit_eigenvalue",
 ]
 
-_Z_RANGE = 1.0e4
+_Z_RANGE = 2.0e4
 
 
 def _tail_sign(a: float, b: float, z: float) -> float:
@@ -44,7 +46,7 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
     """Confluent hypergeometric 1F1(a; b; z) for real arguments.
 
     Raises ValueError for non-finite arguments, PoleB for b a
-    nonpositive integer and RangeExceeded for |z| > 1e4. Values beyond
+    nonpositive integer and RangeExceeded for |z| > 2e4. Values beyond
     float64 return +/-inf with the sign of the function (scipy's
     overflow value is always +inf).
     """

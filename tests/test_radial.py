@@ -6,7 +6,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
+from acsusy import radial
 from acsusy import (
     InvalidChannel,
     NoDecaySeed,
@@ -22,7 +24,12 @@ from acsusy import (
     shoot_exterior,
     shoot_interior,
 )
-from acsusy.radial import _auto_epsilon_lo, _bisect_refine, _scan_sign_changes
+from acsusy.radial import (
+    _auto_epsilon_lo,
+    _bisect_refine,
+    _exterior_zero_energy,
+    _scan_sign_changes,
+)
 
 
 def sphere_problem(l=0, w=None, beta=1.0, r0=1.0):
@@ -140,11 +147,50 @@ def test_exterior_free_particle_log_derivative():
 
 
 def test_exterior_r_max_independence():
-    p = cylinder_problem(l=1, w=1, beta=-1.5, r0=1.0)
+    # the cylinder exterior is closed form and ignores r_max; the sphere's
+    # is integrated from r_max, here at 30 and 60, both >= 20/kappa = 11.5
     eps = -3.0
-    a = shoot_exterior(p, eps, r_max=30.0, rtol=1e-12).log_derivative
-    b = shoot_exterior(p, eps, r_max=60.0, rtol=1e-12).log_derivative
-    assert a == pytest.approx(b, rel=1e-9)
+    for p in (cylinder_problem(l=1, w=1, beta=-1.5, r0=1.0),
+              sphere_problem(l=1, w=-2, beta=-3.0, r0=1.0),
+              sphere_problem(l=2, w=2, beta=3.0, r0=1.0)):
+        a = shoot_exterior(p, eps, r_max=30.0, rtol=1e-12).log_derivative
+        b = shoot_exterior(p, eps, r_max=60.0, rtol=1e-12).log_derivative
+        assert a == pytest.approx(b, rel=1e-9), p
+
+
+def test_free_sphere_exterior_matches_riccati_bessel():
+    # beta = 0: psi = r k_l(kappa r), so the log-derivative at r0 is
+    # 1/r0 + kappa k_l'(kappa r0) / k_l(kappa r0); for l >= 1 the
+    # centrifugal term makes the factored u = e^{kappa r} psi vary
+    for l in range(4):
+        for r0 in (0.1, 1.0, 10.0):
+            for x in np.geomspace(1e-3, 30.0, 9).tolist():
+                kappa = x / r0
+                got = shoot_exterior(sphere_problem(l=l, w=l, beta=0.0, r0=r0), -kappa * kappa)
+                want = 1.0 / r0 + kappa * special.spherical_kn(l, x, derivative=True) / (
+                    special.spherical_kn(l, x))
+                assert abs(got.log_derivative - want) <= 2e-9 * (abs(want) + 1.0 / r0), (l, r0, x)
+
+
+def test_sphere_exterior_stays_on_python_floats(monkeypatch):
+    # numpy scalars make every integrator stage several times slower
+    p = sphere_problem(l=1, w=-2, beta=-7.4 / 0.86**2, r0=0.86)
+    for eps in (-0.01, -3.0):
+        got = shoot_exterior(p, np.float64(eps))
+        want = shoot_exterior(p, eps)
+        assert type(got.psi) is float and type(got.dpsi) is float
+        assert type(got.log_scale) is float
+        assert (got.psi, got.dpsi, got.log_scale) == (want.psi, want.dpsi, want.log_scale)
+    seen = []
+    real = radial.shoot_exterior
+
+    def spy(p, eps, **kw):
+        seen.append(type(eps))
+        return real(p, eps, **kw)
+
+    monkeypatch.setattr(radial, "shoot_exterior", spy)
+    find_spectrum(p, n_grid=8)
+    assert len(seen) >= 8 and set(seen) == {float}
 
 
 def test_exterior_needs_negative_epsilon():
@@ -206,6 +252,28 @@ def test_closed_form_log_derivatives_match_mpmath():
                     assert got.log_derivative == pytest.approx(
                         _mp_log_derivative(psi, r0), rel=1e-10, abs=1e-12 / r0
                     ), (p, eps)
+        # sphere exterior at eps = 0: with t = 1/r, psi = r M_{k, l+1/2}(2 s t)
+        # (mpmath's Whittaker M), s = |beta| r0^3, k = sign(beta) w; the
+        # ODE residual at 2 r0 checks that reduction against V_eff itself
+        mp = mpmath.mpf
+        for l, w in [(0, 0), (1, 1), (1, -2), (2, 2), (2, -3), (3, 3), (3, -4)]:
+            for x, r0 in itertools.product((0.5, 3.0, 10.0, 40.0, 1.0e4), (0.1, 1.0, 10.0)):
+                for beta in (x / r0**2, -x / r0**2):
+                    p = RadialProblem(geometry="sphere", l=l, w=w, beta=beta, r0=r0)
+                    s, k = abs(mp(beta)) * mp(r0) ** 3, (1 if beta > 0 else -1) * w
+                    psi = lambda r: r * mpmath.whitm(k, l + mp(1) / 2, 2 * s / r)
+                    r2 = 2 * mp(r0)
+                    v = effective_potential(p, float(r2))
+                    assert abs(mpmath.diff(psi, r2, 2) - v * psi(r2)) <= 1e-12 * abs(v * psi(r2))
+                    got = _exterior_zero_energy(p)
+                    assert got.steps == 0
+                    assert got.log_derivative == pytest.approx(
+                        _mp_log_derivative(psi, r0), rel=1e-10, abs=1e-12 / r0
+                    ), (p, 0.0)
+    # (1, -2) at beta r0^2 = -10: a = 0, psi = r^-1 e^{-10 r0 / r}, by hand 9/r0
+    for r0 in (0.1, 1.0, 10.0):
+        got = _exterior_zero_energy(sphere_problem(l=1, w=-2, beta=-10.0 / r0**2, r0=r0))
+        assert got.log_derivative == pytest.approx(9.0 / r0, rel=1e-14)
 
 
 # strong-coupling configs where direct hyp1f1 overflows, so the ratio

@@ -31,7 +31,7 @@ def test_kummer_trivial_arguments():
 
 
 def test_kummer_against_mpmath():
-    # the documented range: |z| <= 1e4, here with a in [-20, 20] and
+    # the documented range: |z| <= 2e4, here with a in [-20, 20] and
     # b in [0.3, 20]; values beyond float64 must be infinite with the
     # function's sign
     rng = np.random.default_rng(20260816)
@@ -39,7 +39,7 @@ def test_kummer_against_mpmath():
     for _ in range(3000):
         a = float(rng.uniform(-20.0, 20.0))
         b = float(rng.uniform(0.3, 20.0))
-        z = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 4.0))
+        z = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, math.log10(2.0e4)))
         exact = mpmath.hyp1f1(a, b, z)
         got = kummer_1f1(a, b, z)
         if abs(exact) > mpmath.mpf(np.finfo(float).max):
@@ -78,7 +78,7 @@ def test_kummer_domain_errors():
     with pytest.raises(PoleB):
         kummer_1f1(1.0, -3.0, 1.0)
     with pytest.raises(RangeExceeded):
-        kummer_1f1(1.0, 1.0, 1.5e4)
+        kummer_1f1(1.0, 1.0, 2.5e4)
     with pytest.raises(ValueError):
         kummer_1f1(float("nan"), 1.0, 1.0)
 
