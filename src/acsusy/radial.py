@@ -23,8 +23,9 @@ beta = 0. The cylinder exterior potential is exactly C/r^2, so its
 decaying solution is sqrt(r) K_mu(kappa r). The sphere exterior at
 eps = 0 is r^-l e^{-s/r} M(a, 2l+2, 2s/r) (Whittaker's equation in
 1/r). Only the sphere exterior at eps < 0, with its 1/r^3 and 1/r^4
-tails, is integrated: adaptive Cash-Karp on u = e^{kappa r} psi, which
-takes the decay out of the integrated function.
+tails, is integrated: adaptive DOP853 on the Riccati equation for the
+log-derivative psi'/psi, which stays smooth where psi itself changes by
+e^{|beta| r0^2}.
 
 Energies and potentials are cm^-2 throughout.
 """
@@ -139,13 +140,13 @@ class ShootResult:
     """State of the reduced wavefunction at the matching radius.
 
     The represented function is exp(log_scale) * psi; only ratios of
-    (psi, dpsi) matter for matching, so log_scale is informational. For
-    the integrated sphere exterior it is the log of the function's growth
-    from its seed value 1 at r_max down to r0: the integrator's
-    renormalizations plus the factored-out kappa (r_max - r0).
-    Closed-form solutions report psi = 1, dpsi = log-derivative,
-    log_scale = 0 and steps = 0; steps counts accepted integrator steps
-    otherwise.
+    (psi, dpsi) matter for matching. Every solution is computed as its
+    log-derivative, so psi = 1, dpsi = log-derivative, log_scale = 0 and
+    nodes = 0 (no solution this module builds has a node: the interior
+    Kummer series sums positive terms on eps <= 0, and the decaying
+    exterior of a squared channel has none at eps < 0). steps counts the
+    accepted integrator steps of the sphere exterior at eps < 0 and is 0
+    for closed forms.
     """
 
     r: float
@@ -160,28 +161,42 @@ class ShootResult:
         return self.dpsi / self.psi
 
 
-# Cash-Karp embedded 4(5) pair: stage nodes and weights, unrolled below
-# for speed (the integrator dominates every sphere spectrum scan).
-_A21 = 0.2
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 0.3, -0.9, 1.2
-_A51, _A52, _A53, _A54 = -11.0 / 54.0, 2.5, -70.0 / 27.0, 35.0 / 27.0
-_A61, _A62, _A63, _A64, _A65 = (
-    1631.0 / 55296.0,
-    175.0 / 512.0,
-    575.0 / 13824.0,
-    44275.0 / 110592.0,
-    253.0 / 4096.0,
-)
-_B1, _B3, _B4, _B6 = 37.0 / 378.0, 250.0 / 621.0, 125.0 / 594.0, 512.0 / 1771.0
-# error weights: 5th-order minus 4th-order combination
-_E1 = _B1 - 2825.0 / 27648.0
-_E3 = _B3 - 18575.0 / 48384.0
-_E4 = _B4 - 13525.0 / 55296.0
-_E5 = -277.0 / 14336.0
-_E6 = _B6 - 0.25
-
-_RENORM_AT = 1.0e100
+# Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett & Wanner, Solving
+# ODEs I, 2nd ed., 1993, sec. II.10), the values scipy's DOP853 uses:
+# stage nodes, the nonzero entries of each stage row, the 8th-order
+# weights and the 5th-order error weights. Stages 2-5 carry no weight.
+# Unrolled below for speed (the integrator dominates a sphere spectrum).
+_C2, _C3, _C4, _C5 = 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726
+_C6, _C7, _C8, _C9 = 0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513
+_C10, _C11 = 0.6, 0.8571428571428571
+_A2_1 = 0.05260015195876773
+_A3_1, _A3_2 = 0.0197250569845379, 0.0591751709536137
+_A4_1, _A4_3 = 0.02958758547680685, 0.08876275643042054
+_A5_1, _A5_3, _A5_4 = 0.2413651341592667, -0.8845494793282861, 0.924834003261792
+_A6_1, _A6_4, _A6_5 = 0.037037037037037035, 0.17082860872947386, 0.12546768756682242
+_A7_1, _A7_4, _A7_5, _A7_6 = 0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125
+_A8_1, _A8_4, _A8_5, _A8_6, _A8_7 = (
+    0.03709200011850479, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+    0.008273789163814023)
+_A9_1, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8 = (
+    0.6241109587160757, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+    20.154067550477894, -43.48988418106996)
+_A10_1, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9 = (
+    0.47766253643826434, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+    15.279233632882423, -33.28821096898486, -0.020331201708508627)
+_A11_1, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10 = (
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+    -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196)
+_A12_1, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11 = (
+    2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+    27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+    0.6433927460157636)
+_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = (
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+_E1, _E6, _E7, _E8, _E9, _E10, _E11, _E12 = (
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294)
 
 
 def _integrate(
@@ -192,102 +207,113 @@ def _integrate(
     r_from: float,
     r_to: float,
     rtol: float,
-) -> tuple[float, float, float, int, int]:
-    """Adaptive Cash-Karp integration of the sphere exterior at eps = -kappa^2.
+) -> tuple[float, int]:
+    """Log-derivative at r_to of the sphere exterior solution at eps = -kappa^2.
 
-    Integrates u = e^{kappa r} psi, which obeys u'' = 2 kappa u' + V u
-    with V = cent/r^2 + c3/r^3 + c4/r^4, from u = 1, u' = 0 at r_from
-    to r_to. The unwanted branch of psi grows like e^{kappa r}, so
-    inward it still decays, now relative to a u that stays near 1 where
-    V is small. Every argument must be a Python float: the loop is pure
-    scalar arithmetic, and numpy scalars would make each stage several
-    times slower. Renormalizes the state past 1e100 and accumulates the
-    factor in log_scale. Returns (u, u', log_scale, nodes, steps).
+    Integrates the Riccati equation y' = V + kappa^2 - y^2 for
+    y = psi'/psi, V = cent/r^2 + c3/r^3 + c4/r^4, inward from the decaying
+    seed y = -kappa at r_from > r_to, with DOP853, keeping the 8th-order
+    solution. The decaying solution has no node at eps < 0 (Sturm), so y
+    stays finite; a non-finite step raises Overflow. An error made at r
+    reaches r_to scaled by (psi(r) / psi(r_to))^2: damped where psi
+    falls outward, amplified where it peaks outside r_to (attractive
+    1/r^3 tails at shallow eps).
+
+    Each step's error is the 5th-order embedded estimate h sum(E_i k_i),
+    which bounds the kept solution's error, tested against
+    rtol (|y| + 1/r_to): the scale of the scale-aware error
+    |dy| / (|y| + 1/r0) that results are judged by. The step size follows
+    it with exponent 1/6. Hairer's blend with the 3rd-order estimate (the
+    usual DOP853 norm) shrinks the estimate by about 10 |e5/e3| and, on
+    steps too long for that asymptotic ratio, accepted errors far above
+    rtol next to r0.
+
+    Every argument must be a Python float: the loop is pure scalar
+    arithmetic, and numpy scalars would make each stage several times
+    slower. Returns (y, accepted steps).
     """
-    direction = 1.0 if r_to >= r_from else -1.0
-    span = abs(r_to - r_from)
-    y, dy = 1.0, 0.0
-    if span == 0.0:
-        return y, dy, 0.0, 0, 0
-    h = direction * span * 1.0e-3
-    r = r_from
-    two_kappa = 2.0 * kappa
-    log_scale = 0.0
-    nodes = 0
+    kappa2 = kappa * kappa
+    scale = 1.0 / r_to
+    r, y = r_from, -kappa
+    h = -1.0e-3 * (r_from - r_to)
+    q = 1.0 / r
+    f = q * q * (cent + q * (c3 + q * c4))
     steps = 0
     max_steps = 500_000
-    end_tol = 1.0e-14 * max(abs(r_from), abs(r_to))
+    end_tol = 1.0e-14 * r_from
     while True:
         rem = r_to - r
-        if rem * direction <= end_tol:
+        if rem >= -end_tol:
             break
-        if (h - rem) * direction > 0.0:
+        if h < rem:
             h = rem
-        q = 1.0 / r
-        k1y = dy
-        k1d = two_kappa * dy + q * q * (cent + q * (c3 + q * c4)) * y
-
-        q = 1.0 / (r + 0.2 * h)
-        yi = y + h * (_A21 * k1y)
-        k2y = dy + h * (_A21 * k1d)
-        k2d = two_kappa * k2y + q * q * (cent + q * (c3 + q * c4)) * yi
-
-        q = 1.0 / (r + 0.3 * h)
-        yi = y + h * (_A31 * k1y + _A32 * k2y)
-        k3y = dy + h * (_A31 * k1d + _A32 * k2d)
-        k3d = two_kappa * k3y + q * q * (cent + q * (c3 + q * c4)) * yi
-
-        q = 1.0 / (r + 0.6 * h)
-        yi = y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y)
-        k4y = dy + h * (_A41 * k1d + _A42 * k2d + _A43 * k3d)
-        k4d = two_kappa * k4y + q * q * (cent + q * (c3 + q * c4)) * yi
-
+        elif -h < 1.0e-15 * max(1.0, r):
+            raise Overflow(f"step size collapse near r = {r:g}")
+        k1 = f
+        yi = y + h * (_A2_1 * k1)
+        q = 1.0 / (r + _C2 * h)
+        k2 = q * q * (cent + q * (c3 + q * c4)) + kappa2 - yi * yi
+        yi = y + h * (_A3_1 * k1 + _A3_2 * k2)
+        q = 1.0 / (r + _C3 * h)
+        k3 = q * q * (cent + q * (c3 + q * c4)) + kappa2 - yi * yi
+        yi = y + h * (_A4_1 * k1 + _A4_3 * k3)
+        q = 1.0 / (r + _C4 * h)
+        k4 = q * q * (cent + q * (c3 + q * c4)) + kappa2 - yi * yi
+        yi = y + h * (_A5_1 * k1 + _A5_3 * k3 + _A5_4 * k4)
+        q = 1.0 / (r + _C5 * h)
+        k5 = q * q * (cent + q * (c3 + q * c4)) + kappa2 - yi * yi
+        yi = y + h * (_A6_1 * k1 + _A6_4 * k4 + _A6_5 * k5)
+        q = 1.0 / (r + _C6 * h)
+        k6 = q * q * (cent + q * (c3 + q * c4)) + kappa2 - yi * yi
+        yi = y + h * (_A7_1 * k1 + _A7_4 * k4 + _A7_5 * k5 + _A7_6 * k6)
+        q = 1.0 / (r + _C7 * h)
+        k7 = q * q * (cent + q * (c3 + q * c4)) + kappa2 - yi * yi
+        yi = y + h * (_A8_1 * k1 + _A8_4 * k4 + _A8_5 * k5 + _A8_6 * k6 + _A8_7 * k7)
+        q = 1.0 / (r + _C8 * h)
+        k8 = q * q * (cent + q * (c3 + q * c4)) + kappa2 - yi * yi
+        yi = y + h * (_A9_1 * k1 + _A9_4 * k4 + _A9_5 * k5 + _A9_6 * k6 + _A9_7 * k7
+                      + _A9_8 * k8)
+        q = 1.0 / (r + _C9 * h)
+        k9 = q * q * (cent + q * (c3 + q * c4)) + kappa2 - yi * yi
+        yi = y + h * (_A10_1 * k1 + _A10_4 * k4 + _A10_5 * k5 + _A10_6 * k6 + _A10_7 * k7
+                      + _A10_8 * k8 + _A10_9 * k9)
+        q = 1.0 / (r + _C10 * h)
+        k10 = q * q * (cent + q * (c3 + q * c4)) + kappa2 - yi * yi
+        yi = y + h * (_A11_1 * k1 + _A11_4 * k4 + _A11_5 * k5 + _A11_6 * k6 + _A11_7 * k7
+                      + _A11_8 * k8 + _A11_9 * k9 + _A11_10 * k10)
+        q = 1.0 / (r + _C11 * h)
+        k11 = q * q * (cent + q * (c3 + q * c4)) + kappa2 - yi * yi
+        yi = y + h * (_A12_1 * k1 + _A12_4 * k4 + _A12_5 * k5 + _A12_6 * k6 + _A12_7 * k7
+                      + _A12_8 * k8 + _A12_9 * k9 + _A12_10 * k10 + _A12_11 * k11)
         q = 1.0 / (r + h)
-        yi = y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y)
-        k5y = dy + h * (_A51 * k1d + _A52 * k2d + _A53 * k3d + _A54 * k4d)
-        k5d = two_kappa * k5y + q * q * (cent + q * (c3 + q * c4)) * yi
+        v_end = q * q * (cent + q * (c3 + q * c4)) + kappa2
+        k12 = v_end - yi * yi
 
-        q = 1.0 / (r + 0.875 * h)
-        yi = y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y)
-        k6y = dy + h * (_A61 * k1d + _A62 * k2d + _A63 * k3d + _A64 * k4d + _A65 * k5d)
-        k6d = two_kappa * k6y + q * q * (cent + q * (c3 + q * c4)) * yi
-
-        y_new = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B6 * k6y)
-        d_new = dy + h * (_B1 * k1d + _B3 * k3d + _B4 * k4d + _B6 * k6d)
-        err_y = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y)
-        err_d = h * (_E1 * k1d + _E3 * k3d + _E4 * k4d + _E5 * k5d + _E6 * k6d)
-
-        # u' starts at 0, so its error is measured against psi' = u' - kappa u
-        sc_y = abs(y) + abs(h * dy) + 1.0e-300
-        sc_d = abs(dy) + kappa * abs(y) + abs(h * k1d) + 1.0e-300
-        err = max(abs(err_y) / sc_y, abs(err_d) / sc_d) / rtol
+        y_new = y + h * (_B1 * k1 + _B6 * k6 + _B7 * k7 + _B8 * k8 + _B9 * k9 + _B10 * k10
+                         + _B11 * k11 + _B12 * k12)
+        err_y = h * (_E1 * k1 + _E6 * k6 + _E7 * k7 + _E8 * k8 + _E9 * k9 + _E10 * k10
+                     + _E11 * k11 + _E12 * k12)
+        err = abs(err_y) / (rtol * (abs(y_new) + scale))
         if not math.isfinite(err):
             raise Overflow(f"non-finite state during integration near r = {r:g}")
         if err <= 1.0:
             r += h
-            if y != 0.0 and y_new != 0.0 and (y > 0.0) != (y_new > 0.0):
-                nodes += 1
-            y, dy = y_new, d_new
+            y = y_new
+            f = v_end - y * y  # first stage of the next step
             steps += 1
-            mag = abs(y) if abs(y) > abs(dy) else abs(dy)
-            if mag > _RENORM_AT:
-                y /= mag
-                dy /= mag
-                log_scale += math.log(mag)
             if steps > max_steps:
                 raise Overflow("step budget exhausted; pathological parameters")
-        grow = 0.9 * err**-0.2 if err > 0.0 else 5.0
-        h *= min(5.0, max(0.2, grow))
-        if abs(h) < 1.0e-15 * max(1.0, abs(r)):
-            raise Overflow(f"step size collapse near r = {r:g}")
-    return y, dy, log_scale, nodes, steps
+        grow = 0.9 * err ** (-1.0 / 6.0) if err > 0.0 else 10.0
+        h *= min(10.0, max(0.2, grow))
+    return y, steps
 
 
-def _closed_state(p: RadialProblem, log_derivative: float, what: str) -> ShootResult:
+def _state_at_r0(p: RadialProblem, log_derivative: float, what: str,
+                  steps: int = 0) -> ShootResult:
     if not math.isfinite(log_derivative):
         raise Overflow(f"{what} log-derivative is not finite for {p}")
     return ShootResult(r=p.r0, psi=1.0, dpsi=float(log_derivative), log_scale=0.0, nodes=0,
-                       steps=0)
+                       steps=steps)
 
 
 def _kummer_parameters(p: RadialProblem, epsilon: float) -> tuple[float, float, float]:
@@ -327,11 +353,11 @@ def shoot_interior(p: RadialProblem, epsilon: float) -> ShootResult:
         if epsilon > 0.0:
             raise RangeExceeded(f"eps = {epsilon:g} > 0: free interior oscillates")
         if epsilon == 0.0:
-            return _closed_state(p, alpha / r0, "interior")
+            return _state_at_r0(p, alpha / r0, "interior")
         kappa = math.sqrt(-epsilon)
         x = kappa * r0
         nu = alpha - 0.5
-        return _closed_state(
+        return _state_at_r0(
             p, alpha / r0 + kappa * special.ive(nu + 1.0, x) / special.ive(nu, x), "interior"
         )
     omega, a, bpar = _kummer_parameters(p, epsilon)
@@ -343,7 +369,7 @@ def shoot_interior(p: RadialProblem, epsilon: float) -> ShootResult:
     # at a = 0 the ratio's coefficient a/b is 0; skipping it also skips
     # the transformed denominator, which underflows to 0 at large z
     ratio = 0.0 if a == 0.0 else _kummer_ratio(a, bpar, z)
-    return _closed_state(p, alpha / r0 - omega * r0 + 2.0 * omega * r0 * (a / bpar) * ratio,
+    return _state_at_r0(p, alpha / r0 - omega * r0 + 2.0 * omega * r0 * (a / bpar) * ratio,
                          "interior")
 
 
@@ -390,12 +416,12 @@ def shoot_exterior(
     Cylinder: the exterior potential is exactly (mu^2 - 1/4)/r^2 with
     mu = |w + beta r0^2|, so the solution is sqrt(r) K_mu(kappa r) in
     closed form (K' from DLMF 10.29, K_{mu-1}/K_mu from
-    _bessel_k_ratio); r_max and rtol are unused. Sphere: integrated
-    inward from r_max with the seed exp(-kappa r), as
-    u = e^{kappa r} psi (see _integrate); r_max defaults to
-    max(25/kappa, 3 r0) and must satisfy r_max >= 20/kappa when given
-    explicitly. The result holds Python floats whatever the float type
-    of epsilon.
+    _bessel_k_ratio); r_max and rtol are unused. Sphere: the
+    log-derivative is integrated inward from r_max, seeded with the
+    decaying exp(-kappa r), i.e. psi'/psi = -kappa (see _integrate);
+    r_max defaults to max(25/kappa, 3 r0) and must satisfy
+    r_max >= 20/kappa when given explicitly. The result holds Python
+    floats whatever the float type of epsilon.
     """
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
@@ -406,7 +432,7 @@ def shoot_exterior(
     kappa = math.sqrt(-epsilon)
     if p.geometry == GEOM_CYLINDER:
         mu = abs(p.w + p.beta * p.r0**2)
-        return _closed_state(
+        return _state_at_r0(
             p, (0.5 - mu) / p.r0 - kappa * _bessel_k_ratio(mu, kappa * p.r0), "exterior"
         )
     if r_max is None:
@@ -415,12 +441,11 @@ def shoot_exterior(
         raise ValueError(f"r_max = {r_max:g} below the asymptotic region 20/kappa = {20.0 / kappa:g}")
     if r_max <= p.r0:
         raise ValueError("r_max must exceed r0")
-    r0, b, r_max = float(p.r0), float(p.beta), float(r_max)
-    u, du, log_scale, nodes, steps = _integrate(
-        _centrifugal(p), -2.0 * b * p.w * r0**3, b * b * r0**6, kappa, r_max, r0, float(rtol)
+    r0, b = float(p.r0), float(p.beta)
+    y, steps = _integrate(
+        _centrifugal(p), -2.0 * b * p.w * r0**3, b * b * r0**6, kappa, float(r_max), r0, float(rtol)
     )
-    return ShootResult(r=p.r0, psi=u, dpsi=du - kappa * u,
-                       log_scale=log_scale + kappa * (r_max - r0), nodes=nodes, steps=steps)
+    return _state_at_r0(p, y, "exterior", steps)
 
 
 def _exterior_zero_energy(p: RadialProblem) -> ShootResult:
@@ -436,14 +461,14 @@ def _exterior_zero_energy(p: RadialProblem) -> ShootResult:
     """
     r0 = p.r0
     if p.geometry == GEOM_CYLINDER:
-        return _closed_state(p, (0.5 - abs(p.w + p.beta * r0**2)) / r0, "exterior")
+        return _state_at_r0(p, (0.5 - abs(p.w + p.beta * r0**2)) / r0, "exterior")
     s = abs(p.beta) * r0**3
     a = p.l + 1.0 - math.copysign(1.0, p.beta) * p.w
     b = 2.0 * p.l + 2.0
     # at a = 0 the term is 0; skipping it, as in shoot_interior, also skips
     # the transformed denominator, which underflows to 0 at large z
     ratio = 0.0 if a == 0.0 else _kummer_ratio(a, b, 2.0 * s / r0)
-    return _closed_state(p, (s / r0 - p.l - 2.0 * s / r0 * (a / b) * ratio) / r0, "exterior")
+    return _state_at_r0(p, (s / r0 - p.l - 2.0 * s / r0 * (a / b) * ratio) / r0, "exterior")
 
 
 def interior_closed_form(p: RadialProblem, epsilon: float, r: float) -> float:
@@ -624,7 +649,8 @@ def find_spectrum(
     square-integrable kernel state of the first-order operator; that
     combination occurs for cylinders below the coupling threshold and
     never for spheres. Only the sphere's eps < 0 exterior is
-    integrated, and rtol sets that integration only.
+    integrated (DOP853 on the log-derivative, see _integrate), and rtol
+    sets that integration only.
     """
     if epsilon_lo is None:
         epsilon_lo = _auto_epsilon_lo(p)

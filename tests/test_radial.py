@@ -6,7 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import special
+from scipy import sparse, special
+from scipy.integrate import solve_ivp
 
 from acsusy import radial
 from acsusy import (
@@ -170,6 +171,84 @@ def test_free_sphere_exterior_matches_riccati_bessel():
                 want = 1.0 / r0 + kappa * special.spherical_kn(l, x, derivative=True) / (
                     special.spherical_kn(l, x))
                 assert abs(got.log_derivative - want) <= 2e-9 * (abs(want) + 1.0 / r0), (l, r0, x)
+
+
+def _radau_exterior_log_derivatives(problems, energies):
+    """Decaying sphere exterior log-derivatives at r0, from scipy's Radau.
+
+    An independent route to shoot_exterior: an implicit method on the
+    linear equation psi'' = (V + kappa^2) psi, not DOP853 on the Riccati
+    one. psi = exp(-integral g) phi with g = sqrt(c4/r^4 + kappa^2) takes
+    out the growth that |beta| r0^2 and kappa set, so
+    phi'' = 2 g phi' + (cent/r^2 + c3/r^3 + g') phi varies slowly. All
+    cases share one solve in s = ln(r/r_max) / ln(r0/r_max), seeded like
+    shoot_exterior: psi'/psi = -kappa at r_max = max(25/kappa, 3 r0).
+    """
+    n = len(problems)
+    r0 = np.array([p.r0 for p in problems])
+    kappa = np.sqrt(-np.array(energies))
+    r_max = np.maximum(25.0 / kappa, 3.0 * r0)
+    cent = np.array([p.l * (p.l + 1.0) for p in problems])
+    c3 = np.array([-2.0 * p.beta * p.w * p.r0**3 for p in problems])
+    c4 = np.array([(p.beta * p.r0**3) ** 2 for p in problems])
+    for p, a, b, c in zip(problems, cent, c3, c4):
+        r = 2.0 * p.r0
+        assert a / r**2 + b / r**3 + c / r**4 == pytest.approx(effective_potential(p, r), rel=1e-13)
+    log_span = np.log(r0 / r_max)
+
+    def coefficients(s):
+        r = r_max * np.exp(s * log_span)
+        g = np.sqrt(c4 / r**4 + kappa**2)
+        return r * log_span, cent / r**2 + c3 / r**3 - 2.0 * c4 / (r**5 * g), 2.0 * g, g
+
+    def fun(s, y):
+        drds, a, b, _ = coefficients(s)
+        return np.concatenate([drds * y[n:], drds * (a * y[:n] + b * y[n:])])
+
+    def jac(s, y):
+        drds, a, b, _ = coefficients(s)
+        return sparse.bmat([[None, sparse.diags(drds)],
+                            [sparse.diags(drds * a), sparse.diags(drds * b)]], format="csc")
+
+    y0 = np.concatenate([np.ones(n), coefficients(0.0)[3] - kappa])
+    # at rtol 1e-10 the reference is within 2e-10 of shoot_exterior, well
+    # inside the test's 1e-8; 1e-12 takes three times as many steps
+    atol = np.concatenate([np.full(n, 1e-300), 1e-10 / r0])
+    sol = solve_ivp(fun, (0.0, 1.0), y0, method="Radau", rtol=1e-10, atol=atol, jac=jac)
+    assert sol.success, sol.message
+    return -coefficients(1.0)[3] + sol.y[n:, -1] / sol.y[:n, -1]
+
+
+def test_sphere_exterior_matches_radau():
+    # beta != 0 at eps < 0, where no closed form exists. Shallower energies
+    # than 1e-3 of the window floor are left out: in attractive channels
+    # (e.g. (1, -2) at beta r0^2 = -10) psi peaks outside r0, so any inward
+    # integration, this reference included, amplifies its local errors by
+    # (psi_max / psi(r0))^2 there
+    problems, energies = [], []
+    channels = [(0, 0), (1, 1), (1, -2), (2, 2), (2, -3), (3, 3), (3, -4)]
+    for (l, w), x in itertools.product(channels, (0.5, 3.0, 10.0, 1e3)):
+        for sign, r0 in ((1.0, 0.3), (-1.0, 2.0)):
+            p = sphere_problem(l=l, w=w, beta=sign * x / r0**2, r0=r0)
+            lo = _auto_epsilon_lo(p)
+            for eps in np.geomspace(-lo, 1e-3 * -lo, 3).tolist():
+                problems.append(p)
+                energies.append(-eps)
+    want = _radau_exterior_log_derivatives(problems, energies)
+    for p, eps, ref in zip(problems, energies, want.tolist()):
+        got = shoot_exterior(p, eps).log_derivative
+        assert abs(got - ref) <= 1e-8 * (abs(ref) + 1.0 / p.r0), (p, eps)
+
+
+def test_strong_coupling_exterior_step_count():
+    # at eps = eps_lo / 2 the Cash-Karp integration of u = e^{kappa r} psi
+    # that the Riccati form replaced took 132891 accepted steps for (1, -2)
+    # at beta r0^2 = -1e4 and 130808 for (0, 0) at +1e4: it resolved
+    # ~|beta| r0^2 e-folds of psi, where the log-derivative stays smooth
+    for (l, w, beta), cash_karp_steps in (((1, -2, -1.0e4), 132891), ((0, 0, 1.0e4), 130808)):
+        p = sphere_problem(l=l, w=w, beta=beta, r0=1.0)
+        res = shoot_exterior(p, _auto_epsilon_lo(p) / 2.0)
+        assert res.steps < cash_karp_steps / 5, res.steps
 
 
 def test_sphere_exterior_stays_on_python_floats(monkeypatch):
