@@ -39,8 +39,9 @@ class InvalidChannel(AcsusyError):
 
 
 class Overflow(AcsusyError):
-    """A solution evaluation produced a non-finite value (integration despite
-    renormalization, or a closed form at extreme arguments)."""
+    """A solution evaluation failed: the integrated sphere exterior (a
+    non-finite step, a step-size collapse or the step budget), or a
+    closed form at extreme arguments."""
 
 
 class NoDecaySeed(AcsusyError):

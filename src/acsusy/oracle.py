@@ -76,6 +76,21 @@ def _phi_potential(p: RadialProblem, r: np.ndarray) -> np.ndarray:
     return v
 
 
+def _grid(p: RadialProblem, n: int, r_max: float):
+    """Checked grid of one channel: (d, h, cell centers, faces).
+
+    Face j sits between cells j and j+1, so faces[0] pairs with cell 1.
+    """
+    if n < 100:
+        raise ValueError("n must be at least 100")
+    if not (r_max > p.r0):
+        raise ValueError("r_max must exceed r0")
+    d = 2 if p.geometry == GEOM_SPHERE else 1
+    h = r_max / n
+    j = np.arange(1, n + 1, dtype=float)
+    return d, h, (j - 0.5) * h, j * h
+
+
 def build_grid_hamiltonian(p: RadialProblem, n: int, r_max: float) -> GridHamiltonian:
     """Assemble the conservative flux discretization.
 
@@ -85,15 +100,7 @@ def build_grid_hamiltonian(p: RadialProblem, n: int, r_max: float) -> GridHamilt
     constant (the singular part is handled exactly by the scheme's
     geometry factors, so it is excluded from the resolution test).
     """
-    if n < 100:
-        raise ValueError("n must be at least 100")
-    if not (r_max > p.r0):
-        raise ValueError("r_max must exceed r0")
-    d = 2 if p.geometry == GEOM_SPHERE else 1
-    h = r_max / n
-    j = np.arange(1, n + 1, dtype=float)
-    rc = (j - 0.5) * h
-    ri = j * h  # interface j sits between cells j and j+1; ri[0] pairs with cell 1
+    d, h, rc, ri = _grid(p, n, r_max)
     vphi = _phi_potential(p, rc)
 
     cent = float(p.l * (p.l + 1)) if p.geometry == GEOM_SPHERE else float(p.l * p.l)
@@ -160,15 +167,11 @@ class DiscreteSusyPair:
     are stored per cell (main) and per interior interface (upper).
     """
 
-    geometry: str
-    beta: float
-    r0: float
+    problem: RadialProblem
     n: int
     r_max: float
-    h: float
     q_main: np.ndarray
     q_upper: np.ndarray
-    problem: RadialProblem
 
     def h_minus_bands(self) -> tuple[np.ndarray, np.ndarray]:
         diag = self.q_main**2
@@ -208,16 +211,8 @@ def build_susy_pair(
     weights folded in so that Q^T Q is exactly the symmetrized flux
     form of -(1/r^d)(r^d phi')' + (W^2 + W' + d W / r).
     """
-    if n < 100:
-        raise ValueError("n must be at least 100")
-    if not (r_max > r0 > 0.0):
-        raise ValueError("need r_max > r0 > 0")
     p = RadialProblem(geometry=geometry, l=0, w=0, beta=beta, r0=r0)
-    d = 2 if geometry == GEOM_SPHERE else 1
-    h = r_max / n
-    j = np.arange(1, n + 1, dtype=float)
-    rc = (j - 0.5) * h
-    ri = j * h
+    d, h, rc, ri = _grid(p, n, r_max)
     wfun = _superpotential_drift(geometry, beta, r0)
     w_if = np.array([wfun(x) for x in ri])
     rid = ri**d
@@ -228,10 +223,7 @@ def build_susy_pair(
     # the last outer-face flux); the W cross-term it doubles is O(W h)
     # relative to the 1/h^2 band scale at that single cell
     main[-1] *= math.sqrt(2.0)
-    return DiscreteSusyPair(
-        geometry=geometry, beta=beta, r0=r0, n=n, r_max=r_max, h=h,
-        q_main=main, q_upper=upper, problem=p,
-    )
+    return DiscreteSusyPair(problem=p, n=n, r_max=r_max, q_main=main, q_upper=upper)
 
 
 def _tri_lowest(diag: np.ndarray, off: np.ndarray) -> float:

@@ -50,7 +50,6 @@ __all__ = [
     "frobenius_exponent",
     "shoot_interior",
     "shoot_exterior",
-    "interior_closed_form",
     "find_spectrum",
 ]
 
@@ -119,15 +118,14 @@ def effective_potential(p: RadialProblem, r):
         raise ValueError("r must be positive")
     cent = _centrifugal(p)
     b = p.beta
+    inner = cent / rr**2 + channel_shift(p) + b * b * rr**2
     if p.geometry == GEOM_SPHERE:
-        inner = cent / rr**2 - 2.0 * b * (p.w + 1.5) + b * b * rr**2
         outer = (
             cent / rr**2
             - 2.0 * b * p.w * p.r0**3 / rr**3
             + b * b * p.r0**6 / rr**4
         )
     else:
-        inner = cent / rr**2 + 2.0 * b * (p.w + 1.0) + b * b * rr**2
         outer = (cent + 2.0 * b * p.r0**2 * p.w + b * b * p.r0**4) / rr**2
     out = np.where(rr <= p.r0, inner, outer)
     if np.isscalar(r) or getattr(r, "ndim", 1) == 0:
@@ -137,28 +135,18 @@ def effective_potential(p: RadialProblem, r):
 
 @dataclass(frozen=True)
 class ShootResult:
-    """State of the reduced wavefunction at the matching radius.
+    """A reduced wavefunction at the matching radius r0, as psi'/psi.
 
-    The represented function is exp(log_scale) * psi; only ratios of
-    (psi, dpsi) matter for matching. Every solution is computed as its
-    log-derivative, so psi = 1, dpsi = log-derivative, log_scale = 0 and
-    nodes = 0 (no solution this module builds has a node: the interior
+    The log-derivative is all that matching needs, and it is finite
+    because no solution this module builds has a node: the interior
     Kummer series sums positive terms on eps <= 0, and the decaying
-    exterior of a squared channel has none at eps < 0). steps counts the
+    exterior of a squared channel has none at eps < 0. steps counts the
     accepted integrator steps of the sphere exterior at eps < 0 and is 0
     for closed forms.
     """
 
-    r: float
-    psi: float
-    dpsi: float
-    log_scale: float
-    nodes: int
+    log_derivative: float
     steps: int
-
-    @property
-    def log_derivative(self) -> float:
-        return self.dpsi / self.psi
 
 
 # Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett & Wanner, Solving
@@ -312,8 +300,7 @@ def _state_at_r0(p: RadialProblem, log_derivative: float, what: str,
                   steps: int = 0) -> ShootResult:
     if not math.isfinite(log_derivative):
         raise Overflow(f"{what} log-derivative is not finite for {p}")
-    return ShootResult(r=p.r0, psi=1.0, dpsi=float(log_derivative), log_scale=0.0, nodes=0,
-                       steps=steps)
+    return ShootResult(log_derivative=float(log_derivative), steps=steps)
 
 
 def _kummer_parameters(p: RadialProblem, epsilon: float) -> tuple[float, float, float]:
@@ -335,8 +322,9 @@ def _kummer_parameters(p: RadialProblem, epsilon: float) -> tuple[float, float, 
 def shoot_interior(p: RadialProblem, epsilon: float) -> ShootResult:
     """Regular interior solution at r0, in closed form.
 
-    For beta != 0 the solution is interior_closed_form's Kummer function;
-    its log-derivative uses M'(a, b, z) = (a/b) M(a+1, b+1, z)
+    For beta != 0 the solution is r^alpha e^{-omega r^2/2} M(a, b, omega r^2)
+    with (omega, a, b) from _kummer_parameters; its log-derivative uses
+    M'(a, b, z) = (a/b) M(a+1, b+1, z)
     (DLMF 13.3.15). For beta = 0 it is sqrt(r) I_{alpha-1/2}(kappa r),
     kappa^2 = -eps, evaluated through the scaled ive (r^alpha at eps = 0).
     On every eps <= 0 window a >= 0, so M sums positive terms and the
@@ -471,28 +459,13 @@ def _exterior_zero_energy(p: RadialProblem) -> ShootResult:
     return _state_at_r0(p, (s / r0 - p.l - 2.0 * s / r0 * (a / b) * ratio) / r0, "exterior")
 
 
-def interior_closed_form(p: RadialProblem, epsilon: float, r: float) -> float:
-    """Closed interior solution psi(r) via Kummer 1F1.
-
-    psi(r) = r^alpha e^{-omega r^2/2} 1F1(a; b; omega r^2) with
-    omega = |beta|, b = l + 3/2 (ball) or l + 1 (cylinder), and
-    a = b/2 - eps_ch/(4 omega), eps_ch = eps - channel_shift. At a = 0
-    the series truncates to the pure Gaussian ground profile. Requires
-    beta != 0 (the free case is sqrt(r) I_{alpha-1/2}(kappa r), see
-    shoot_interior) and 0 < r <= r0.
-    """
-    if p.beta == 0.0:
-        raise ValueError("closed form requires beta != 0; use shoot_interior for beta = 0")
-    if not (0.0 < r <= p.r0):
-        raise ValueError("closed form is valid on 0 < r <= r0")
-    omega, a, bpar = _kummer_parameters(p, epsilon)
-    z = omega * r * r
-    return r ** frobenius_exponent(p) * math.exp(-z / 2.0) * kummer_1f1(a, bpar, z)
-
-
 @dataclass(frozen=True)
 class BoundState:
-    """A matched state: a bound state, or the eps = 0 zero-mode endpoint."""
+    """A matched state: a bound state, or the eps = 0 zero-mode endpoint.
+
+    node_count is 0: no node count is computed yet. The field stays so
+    that the JSON and CSV artifacts keep their node_count column.
+    """
 
     epsilon: float
     node_count: int
@@ -531,9 +504,6 @@ class SpectrumReport:
             raise ValueError("bound-state energies must be strictly negative")
         if eps != sorted(eps) or len(set(eps)) != len(eps):
             raise ValueError("bound-state energies must be strictly ascending")
-        nodes = [s.node_count for s in self.bound_states]
-        if any(b <= a for a, b in zip(nodes, nodes[1:])):
-            raise ValueError("node counts must increase with energy (oscillation ordering)")
 
     @property
     def has_states(self) -> bool:
@@ -564,11 +534,9 @@ class SpectrumReport:
         ]
 
 
-def _wronskian_mismatch(interior: ShootResult, exterior: ShootResult, r0: float) -> float:
-    """Scale-free matching function; sign changes locate eigenvalues."""
-    ni = abs(interior.psi) + r0 * abs(interior.dpsi) + 1.0e-300
-    ne = abs(exterior.psi) + r0 * abs(exterior.dpsi) + 1.0e-300
-    return (interior.dpsi * exterior.psi - interior.psi * exterior.dpsi) / (ni * ne)
+def _wronskian_mismatch(li: float, le: float, r0: float) -> float:
+    """Scale-free mismatch of two log-derivatives at r0; sign changes locate eigenvalues."""
+    return (li - le) / ((1.0 + r0 * abs(li)) * (1.0 + r0 * abs(le)))
 
 
 def _scan_sign_changes(fvals: list[float]) -> list[int]:
@@ -664,20 +632,17 @@ def find_spectrum(
     grid = [-g for g in np.geomspace(abs(epsilon_lo), hi_mag, n_grid).tolist()]
 
     def mismatch(eps: float) -> float:
-        inner = shoot_interior(p, eps)
-        outer = shoot_exterior(p, eps, rtol=rtol)
-        return _wronskian_mismatch(inner, outer, p.r0)
+        li = shoot_interior(p, eps).log_derivative
+        le = shoot_exterior(p, eps, rtol=rtol).log_derivative
+        return _wronskian_mismatch(li, le, p.r0)
 
     fvals = [mismatch(e) for e in grid]
     states = []
     for i in _scan_sign_changes(fvals):
-        root, f_root = _bisect_refine(mismatch, grid[i], grid[i + 1], fvals[i], fvals[i + 1])
-        inner = shoot_interior(p, root)
-        outer = shoot_exterior(p, root, rtol=rtol)
-        li = inner.log_derivative
-        le = outer.log_derivative
-        states.append(BoundState(epsilon=root, node_count=inner.nodes,
-                                 match_residual=abs(li - le)))
+        root, _ = _bisect_refine(mismatch, grid[i], grid[i + 1], fvals[i], fvals[i + 1])
+        li = shoot_interior(p, root).log_derivative
+        le = shoot_exterior(p, root, rtol=rtol).log_derivative
+        states.append(BoundState(epsilon=root, node_count=0, match_residual=abs(li - le)))
 
     # A zero mode must be a kernel state of the first-order operator,
     # not merely an eps = 0 solution of the squared equation, and a
@@ -699,13 +664,11 @@ def find_spectrum(
     zero_mode = None
     zero_note = ""
     if epsilon_hi == 0.0:
-        inner0 = shoot_interior(p, 0.0)
-        outer0 = _exterior_zero_energy(p)
-        li = inner0.log_derivative
-        le = outer0.log_derivative
+        li = shoot_interior(p, 0.0).log_derivative
+        le = _exterior_zero_energy(p).log_derivative
         rel = abs(li - le) / (abs(li) + abs(le) + 1.0 / p.r0)
         if rel < _ZERO_MODE_MATCH_TOL and kernel_candidate:
-            zero_mode = BoundState(epsilon=0.0, node_count=inner0.nodes, match_residual=rel)
+            zero_mode = BoundState(epsilon=0.0, node_count=0, match_residual=rel)
             zero_note = (
                 " The eps = 0 endpoint matches the bounded exterior solution "
                 f"(relative log-derivative gap {rel:.3g}) and the tail "

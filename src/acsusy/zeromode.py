@@ -66,14 +66,13 @@ class TailBehavior:
     kind "constant": phi -> const (parameter unused, 0.0)
     kind "power":    phi ~ r^parameter
     kind "exponential": phi ~ exp(-parameter * r)
-    kind "gaussian":    phi ~ exp(-parameter * r^2)
     """
 
     kind: str
     parameter: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "power", "exponential", "gaussian"):
+        if self.kind not in ("constant", "power", "exponential"):
             raise ValueError(f"unknown tail kind {self.kind!r}")
 
 
@@ -327,7 +326,7 @@ class NormReport:
 
     tail_exponent is the power-law exponent of the squared integrand
     |phi|^2 * weight at infinity: 2p + 2 (3D), 2p + 1 (2D), 0 for a
-    constant tail in 1D, and -inf for exponential or Gaussian decay.
+    constant tail in 1D, and -inf for exponential decay.
     verdict is Finite exactly when tail_exponent < -1. value is the
     truncated closed-form integral for Finite verdicts and inf otherwise.
     """
