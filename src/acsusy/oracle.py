@@ -9,17 +9,18 @@ gives a real symmetric tridiagonal matrix whose eigenvalues converge
 at second order in h; Richardson extrapolation of an n / 2n pair
 removes the leading error term.
 
-This route is independent of shooting except for the channel potential:
-it takes V from radial.effective_potential, and otherwise uses a
-different variable (phi, not the reduced psi), a different
-discretization and a different eigenvalue algorithm (LAPACK tridiagonal
-eigensolves through scipy.linalg.eigh_tridiagonal, not closed-form
-matching and root bracketing).
+This route is independent of shooting: it builds V from
+radial.superpotential W, where shooting uses hand-derived Kummer
+parameters and exterior coefficients, and it uses a different variable
+(phi, not the reduced psi), a different discretization and a different
+eigenvalue algorithm (LAPACK tridiagonal eigensolves through
+scipy.linalg.eigh_tridiagonal, not closed-form matching and root
+bracketing).
 
 The same machinery exposes the factorized pair: a discrete first-order
-operator Q built from the superpotential drift W gives H_minus = Q^T Q
-and H_plus = Q Q^T, both nonnegative by construction, with
-H_minus equal to the flux discretization up to truncation error.
+operator Q built from the same W gives H_minus = Q^T Q and
+H_plus = Q Q^T, both nonnegative by construction, with H_minus equal to
+the flux discretization up to truncation error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 from ._lazy import linalg, np
 from .errors import GridTooCoarse
-from .radial import GEOM_CYLINDER, GEOM_SPHERE, RadialProblem, effective_potential
+from .radial import GEOM_SPHERE, RadialProblem, _smooth_potential, superpotential
 
 __all__ = [
     "GridHamiltonian",
@@ -63,19 +64,6 @@ class GridHamiltonian:
         return float(np.max(np.abs(self.diag)) + 2.0 * (np.max(off) if off.size else 0.0))
 
 
-def _phi_potential(p: RadialProblem, r: np.ndarray) -> np.ndarray:
-    """Potential in the phi picture: drop the reduction counterterm.
-
-    The reduced potential V_eff contains the centrifugal l(l+1)/r^2 of
-    psi = r phi directly; for the cylinder the u = sqrt(r) phi map adds
-    -1/(4 r^2), so the phi-picture potential is V_eff + 1/(4 r^2) there.
-    """
-    v = effective_potential(p, r)
-    if p.geometry == GEOM_CYLINDER:
-        v = v + 0.25 / r**2
-    return v
-
-
 def _grid(p: RadialProblem, n: int, r_max: float):
     """Checked grid of one channel: (d, h, cell centers, faces).
 
@@ -94,21 +82,21 @@ def _grid(p: RadialProblem, n: int, r_max: float):
 def build_grid_hamiltonian(p: RadialProblem, n: int, r_max: float) -> GridHamiltonian:
     """Assemble the conservative flux discretization.
 
-    Requires n >= 100 and r_max > r0. Raises GridTooCoarse when the
-    grid cannot resolve the potential variation:
-    h^2 max_j |V_phi(r_j) - C/r_j^2| > 0.1 with C the centrifugal
-    constant (the singular part is handled exactly by the scheme's
-    geometry factors, so it is excluded from the resolution test).
+    Requires n >= 100 and r_max > r0. The phi-picture potential is
+    C/r^2 plus the smooth part of V_eff, with C = l(l+1) (ball) or nu^2
+    (cylinder). Raises GridTooCoarse when the grid cannot resolve the
+    smooth part: h^2 max_j |V_phi(r_j) - C/r_j^2| > 0.1 (the singular
+    part is handled exactly by the scheme's geometry factors).
     """
     d, h, rc, ri = _grid(p, n, r_max)
-    vphi = _phi_potential(p, rc)
-
-    cent = float(p.l * (p.l + 1)) if p.geometry == GEOM_SPHERE else float(p.l * p.l)
-    smooth = np.abs(vphi - cent / rc**2)
-    if h * h * float(np.max(smooth)) > 0.1:
+    smooth = _smooth_potential(p, rc)
+    resolution = h * h * float(np.max(np.abs(smooth)))
+    if resolution > 0.1:
         raise GridTooCoarse(
-            f"h^2 max|V| = {h * h * float(np.max(smooth)):.3g} > 0.1; increase n or shrink r_max"
+            f"h^2 max|V| = {resolution:.3g} > 0.1; increase n or shrink r_max"
         )
+    cent = float(p.l * (p.l + 1)) if p.geometry == GEOM_SPHERE else float(p.l * p.l)
+    vphi = cent / rc**2 + smooth
 
     rid = ri**d
     rcd = rc**d
@@ -186,21 +174,6 @@ class DiscreteSusyPair:
         return diag, off
 
 
-def _superpotential_drift(geometry: str, beta: float, r0: float):
-    """Continuous drift W(r) whose square-plus-divergence is the channel potential."""
-    if geometry == GEOM_SPHERE:
-
-        def wfun(r: float) -> float:
-            return -beta * r if r <= r0 else -beta * r0**3 / (r * r)
-
-    else:
-
-        def wfun(r: float) -> float:
-            return beta * r if r <= r0 else beta * r0**2 / r
-
-    return wfun
-
-
 def build_susy_pair(
     geometry: str, beta: float, r0: float, n: int, r_max: float
 ) -> DiscreteSusyPair:
@@ -208,13 +181,13 @@ def build_susy_pair(
 
     The first-order operator acts on cell values and produces interface
     values: (Q x)_i = main_i x_i + upper_i x_{i+1}, with geometry
-    weights folded in so that Q^T Q is exactly the symmetrized flux
-    form of -(1/r^d)(r^d phi')' + (W^2 + W' + d W / r).
+    weights folded in so that Q^T Q is the symmetrized flux form of
+    -(1/r^d)(r^d phi')' + (W^2 + W' + d W / r) up to a band difference
+    of second order in h, which susy_algebra_check reports.
     """
     p = RadialProblem(geometry=geometry, l=0, w=0, beta=beta, r0=r0)
     d, h, rc, ri = _grid(p, n, r_max)
-    wfun = _superpotential_drift(geometry, beta, r0)
-    w_if = np.array([wfun(x) for x in ri])
+    w_if = superpotential(p, ri)
     rid = ri**d
     rcd = rc**d
     main = np.sqrt(rid / rcd) * (-1.0 / h - 0.5 * w_if)

@@ -3,18 +3,19 @@
 Conventions. The working wavefunction is the reduced one: psi = r phi
 for the ball geometry (measure r^2 dr) and u = sqrt(r) phi for the
 cylinder (measure r dr), so both obey psi'' = (V_eff - eps) psi with no
-first-derivative term. V_eff carries the centrifugal term l(l+1)/r^2,
-respectively (nu^2 - 1/4)/r^2, the constant and 1/r^k pieces from the
-squared first-order operator, and the oscillator term beta^2 r^2 inside
-the source.
+first-derivative term.
 
-Sign of the channel coupling: expanding the square of the first-order
-operator gives the cross term -2 (eta E_r / r) (spin dot orbital), so
-the interior constant is -2 beta (w + 3/2) for the ball and
-+2 beta (w + 1) for the cylinder. With these signs every channel
+Every channel is the square of d/dr - W, with W from superpotential:
+with d = 2 (ball) or 1 (cylinder) and cent = l(l+1), respectively
+nu^2 - 1/4,
+    V_eff = cent/r^2 + W^2 + 2 w W/r + r^-d (r^d W)'.
+Inside the source that is the oscillator beta^2 r^2 plus the constant
+-2 beta (w + 3/2) (ball) or +2 beta (w + 1) (cylinder). Every channel
 Hamiltonian is a square, hence nonnegative: no eps < 0 bound states
 exist, and the scan machinery's job is to certify emptiness and to
-recognize the eps = 0 zero-mode endpoint where one exists.
+recognize the eps = 0 zero-mode endpoint where one exists. The Kummer
+parameters and exterior coefficients below are written out by hand,
+not from W, so that shooting checks W.
 
 Matching uses closed forms wherever the paper's potentials admit them.
 The interior (both geometries) is the Kummer function
@@ -46,7 +47,7 @@ __all__ = [
     "BoundState",
     "SpectrumReport",
     "effective_potential",
-    "channel_shift",
+    "superpotential",
     "frobenius_exponent",
     "shoot_interior",
     "shoot_exterior",
@@ -93,13 +94,6 @@ class RadialProblem:
             raise ValueError("beta must be finite")
 
 
-def channel_shift(p: RadialProblem) -> float:
-    """Constant interior offset of V_eff (the non-oscillator piece)."""
-    if p.geometry == GEOM_SPHERE:
-        return -2.0 * p.beta * (p.w + 1.5)
-    return 2.0 * p.beta * (p.w + 1.0)
-
-
 def frobenius_exponent(p: RadialProblem) -> float:
     """Regular-origin exponent alpha with psi ~ r^alpha."""
     return p.l + 1.0 if p.geometry == GEOM_SPHERE else p.l + 0.5
@@ -111,23 +105,36 @@ def _centrifugal(p: RadialProblem) -> float:
     return p.l * p.l - 0.25
 
 
+def superpotential(p: RadialProblem, r) -> np.ndarray:
+    """W(r) of the channel's first-order operator d/dr - W, as an array.
+
+    Ball: -beta r inside r0, -beta r0^3/r^2 outside. Cylinder: beta r
+    inside, beta r0^2/r outside. Both are continuous at r0.
+    """
+    rr = np.asarray(r, dtype=float)
+    b, r0 = p.beta, p.r0
+    if p.geometry == GEOM_SPHERE:
+        return np.where(rr <= r0, -b * rr, -b * r0**3 / rr**2)
+    return np.where(rr <= r0, b * rr, b * r0**2 / rr)
+
+
+def _smooth_potential(p: RadialProblem, r: np.ndarray) -> np.ndarray:
+    """V_eff less its centrifugal part: W^2 + 2 w W/r + r^-d (r^d W)'.
+
+    W is linear in r inside r0, so r^-d (r^d W)' = (d + 1) W/r there;
+    outside, r^d W is constant.
+    """
+    d = 2 if p.geometry == GEOM_SPHERE else 1
+    w = superpotential(p, r)
+    return w * w + (2.0 * p.w + (d + 1) * (r <= p.r0)) * w / r
+
+
 def effective_potential(p: RadialProblem, r):
     """Channel potential V_eff(r) in the reduced picture; array-aware."""
     rr = np.asarray(r, dtype=float)
     if np.any(rr <= 0.0):
         raise ValueError("r must be positive")
-    cent = _centrifugal(p)
-    b = p.beta
-    inner = cent / rr**2 + channel_shift(p) + b * b * rr**2
-    if p.geometry == GEOM_SPHERE:
-        outer = (
-            cent / rr**2
-            - 2.0 * b * p.w * p.r0**3 / rr**3
-            + b * b * p.r0**6 / rr**4
-        )
-    else:
-        outer = (cent + 2.0 * b * p.r0**2 * p.w + b * b * p.r0**4) / rr**2
-    out = np.where(rr <= p.r0, inner, outer)
+    out = _centrifugal(p) / rr**2 + _smooth_potential(p, rr)
     if np.isscalar(r) or getattr(r, "ndim", 1) == 0:
         return float(out)
     return out
@@ -306,8 +313,9 @@ def _state_at_r0(p: RadialProblem, log_derivative: float, what: str,
 def _kummer_parameters(p: RadialProblem, epsilon: float) -> tuple[float, float, float]:
     """(omega, a, b) of the interior Kummer solution; beta != 0.
 
-    channel_shift / (4 omega) is the half-integer multiple of sign(beta)
-    written out below, so a is exactly 0 at eps = 0 in a hosting channel.
+    The interior constant of V_eff over 4 omega is the half-integer
+    multiple of sign(beta) written out below (by hand, not from W), so a
+    is exactly 0 at eps = 0 in a hosting channel.
     """
     omega = abs(p.beta)
     if p.geometry == GEOM_SPHERE:

@@ -491,7 +491,8 @@ def zero_mode_residual(
 
     phi' comes from a 5-point fourth-order central difference of the
     profile itself; W is the drift the closed form obeys on each region
-    (magnitude eta E_r with its region's branch sign). The relative
+    (radial.superpotential's, but for the sign outside the sphere: see
+    README, Known discrepancies). The relative
     residual is |phi'_fd - W phi| / (|phi'_fd| + |W phi|), with 0/0
     read as 0 (free-particle case). Sample points must not sit on a
     region boundary, and f must be a profile of cfg's geometry.

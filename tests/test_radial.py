@@ -11,18 +11,22 @@ from scipy.integrate import solve_ivp
 
 from acsusy import radial
 from acsusy import (
+    Cylinder,
     InvalidChannel,
     NoDecaySeed,
     Overflow,
     RangeExceeded,
     RadialProblem,
-    channel_shift,
+    Sphere,
+    coupling_eta,
     cylinder_zero_mode,
     effective_potential,
+    efield,
     find_spectrum,
     frobenius_exponent,
     shoot_exterior,
     shoot_interior,
+    superpotential,
 )
 from acsusy.radial import (
     BoundState,
@@ -57,15 +61,6 @@ def test_channel_validation():
         RadialProblem(geometry="moebius", l=0, w=0, beta=1.0, r0=1.0)
 
 
-def test_channel_shift_signs():
-    # aligned sphere channel: attractive for beta > 0
-    assert channel_shift(sphere_problem(l=1, w=1, beta=2.0)) == pytest.approx(-10.0)
-    assert channel_shift(sphere_problem(l=1, w=-2, beta=2.0)) == pytest.approx(2.0)
-    # cylinder: +2 beta (w + 1)
-    assert channel_shift(cylinder_problem(l=0, w=0, beta=-3.0)) == pytest.approx(-6.0)
-    assert channel_shift(cylinder_problem(l=1, w=-1, beta=-3.0)) == pytest.approx(0.0)
-
-
 def test_frobenius_exponents():
     assert frobenius_exponent(sphere_problem(l=2)) == pytest.approx(3.0)
     assert frobenius_exponent(cylinder_problem(l=2)) == pytest.approx(2.5)
@@ -74,25 +69,48 @@ def test_frobenius_exponents():
 # --- effective potentials ------------------------------------------------
 
 def test_sphere_potential_piecewise_values():
-    p = sphere_problem(l=1, w=1, beta=2.0, r0=1.5)
-    r_in, r_out = 0.5, 3.0
-    want_in = 2.0 / r_in**2 - 2 * 2.0 * 2.5 + 4.0 * r_in**2
-    assert effective_potential(p, r_in) == pytest.approx(want_in, rel=1e-13)
-    want_out = (
-        2.0 / r_out**2
-        - 2 * 2.0 * 1 * 1.5**3 / r_out**3
-        + 4.0 * 1.5**6 / r_out**4
-    )
-    assert effective_potential(p, r_out) == pytest.approx(want_out, rel=1e-13)
+    # interior constant -2 beta (w + 3/2), by hand: the aligned channel
+    # is attractive for beta > 0
+    r0, r_in, r_out = 1.5, 0.5, 3.0
+    for l, w, beta, shift in ((1, 1, 2.0, -10.0), (1, -2, 2.0, 2.0)):
+        p = sphere_problem(l=l, w=w, beta=beta, r0=r0)
+        cent = l * (l + 1)
+        want_in = cent / r_in**2 + shift + beta**2 * r_in**2
+        assert effective_potential(p, r_in) == pytest.approx(want_in, rel=1e-13), (l, w)
+        want_out = (
+            cent / r_out**2
+            - 2 * beta * w * r0**3 / r_out**3
+            + beta**2 * r0**6 / r_out**4
+        )
+        assert effective_potential(p, r_out) == pytest.approx(want_out, rel=1e-13), (l, w)
 
 
 def test_cylinder_potential_piecewise_values():
-    p = cylinder_problem(l=1, w=-1, beta=-2.0, r0=1.0)
+    # interior constant +2 beta (w + 1), by hand; it vanishes at w = -1
     r_in, r_out = 0.25, 4.0
-    want_in = (1 - 0.25) / r_in**2 + 0.0 + 4.0 * r_in**2  # shift vanishes at w = -1
-    assert effective_potential(p, r_in) == pytest.approx(want_in, rel=1e-13)
-    want_out = (1 - 0.25 + 2 * (-2.0) * (-1) + 4.0) / r_out**2
-    assert effective_potential(p, r_out) == pytest.approx(want_out, rel=1e-13)
+    cases = ((1, -1, -2.0, 0.0), (0, 0, -3.0, -6.0), (1, -1, -3.0, 0.0), (1, 1, -2.0, -8.0))
+    for l, w, beta, shift in cases:
+        p = cylinder_problem(l=l, w=w, beta=beta, r0=1.0)
+        cent = l * l - 0.25
+        want_in = cent / r_in**2 + shift + beta**2 * r_in**2
+        assert effective_potential(p, r_in) == pytest.approx(want_in, rel=1e-13), (l, w, beta)
+        want_out = (cent + 2 * beta * w + beta**2) / r_out**2
+        assert effective_potential(p, r_out) == pytest.approx(want_out, rel=1e-13), (l, w, beta)
+
+
+def test_superpotential_is_the_field_coupling():
+    # W = -eta E_r for the ball and -eta E_r / 2 for the as-displayed
+    # cylinder (beta_cylinder = -eta rho / 4 against E_r = rho r / 2),
+    # inside, on and outside the surface, for either density sign
+    eta = coupling_eta()
+    for density, r0 in itertools.product((2.0e6, -3.0e7), (0.4, 1.0, 2.5)):
+        for cfg, factor in ((Sphere(rho0=density, r0=r0), -1.0),
+                            (Cylinder(rho=density, r0=r0), -0.5)):
+            p = RadialProblem(geometry=cfg.kind, l=0, w=0, beta=cfg.beta(), r0=r0)
+            for r in (0.3 * r0, r0, 1.7 * r0, 6.0 * r0):
+                e_r = efield(cfg, (r, 0.0, 0.0))[0]
+                assert float(superpotential(p, r)) == pytest.approx(
+                    factor * eta * e_r, rel=1e-13), (cfg, r)
 
 
 def test_potential_surface_jump_matches_source_discontinuity():
@@ -239,6 +257,16 @@ def test_sphere_exterior_matches_radau():
     for p, eps, ref in zip(problems, energies, want.tolist()):
         got = shoot_exterior(p, eps).log_derivative
         assert abs(got - ref) <= 1e-8 * (abs(ref) + 1.0 / p.r0), (p, eps)
+    # the cylinder's counterpart of the helper's coefficient check: outside
+    # r0, V_eff is the (mu^2 - 1/4)/r^2 of shoot_exterior's K_mu, with
+    # mu = |w + beta r0^2|; w != 0 makes it see the sign of W
+    for (l, w), x in itertools.product(((1, 1), (1, -1), (2, 2), (2, -2)), (0.5, 3.0, 1e3)):
+        for sign, r0 in ((1.0, 0.3), (-1.0, 2.0)):
+            p = cylinder_problem(l=l, w=w, beta=sign * x / r0**2, r0=r0)
+            mu = abs(w + p.beta * r0**2)
+            for r in (1.5 * r0, 4.0 * r0):
+                assert effective_potential(p, r) == pytest.approx(
+                    (mu**2 - 0.25) / r**2, rel=1e-13, abs=1e-13 * (l * l + mu**2) / r**2), (p, r)
 
 
 def test_strong_coupling_exterior_step_count():
