@@ -33,7 +33,7 @@ from .errors import (
     InadmissibleK,
     NonconfiningSign,
 )
-from .fields import GEOMETRIES, divergence_check
+from .fields import GEOMETRIES, Slab, divergence_check
 from .oracle import (
     build_grid_hamiltonian,
     build_susy_pair,
@@ -315,18 +315,14 @@ def cmd_susy_status(args) -> int:
     return 0
 
 
-def _zero_mode_profile(cfg, constants, raw):
+def _zero_mode_profile(cfg, constants, raw, verdict):
     if cfg.kind == "sphere":
         return sphere_zero_mode(cfg.beta(constants), cfg.r0)
     if cfg.kind == "cylinder":
         return cylinder_zero_mode(cfg.beta(constants), cfg.r0)
-    # default k: the family midpoint susy_status also reports, 0 when chargeless
-    if "k" in raw:
-        k = float(raw["k"])
-    elif cfg.rho0 > 0.0:
-        k = 0.5 * math.sqrt(cfg.k_bound_sq(constants))
-    else:
-        k = 0.0
+    # default k: the verdict's representative family member; a Broken
+    # slab has none, and k = 0 gives the free profile or the refusal
+    k = float(raw.get("k", verdict.threshold_data.get("representative_k", 0.0)))
     return slab_zero_mode(
         k,
         cfg.rho0,
@@ -344,7 +340,7 @@ def cmd_zero_mode(args) -> int:
     _verdict_lines(verdict)
     out = _out_dir(args)
     try:
-        profile = _zero_mode_profile(cfg, constants, raw)
+        profile = _zero_mode_profile(cfg, constants, raw, verdict)
     except (NonconfiningSign, InadmissibleK) as exc:
         print(f"no closed-form profile for this configuration: {exc}")
         return 0
@@ -412,7 +408,7 @@ def cmd_spectrum(args) -> int:
     combined_rows = []
     for l, w in _channels_from(raw, kind):
         p = RadialProblem(geometry=kind, l=l, w=w, beta=beta, r0=cfg.r0)
-        report = find_spectrum(p, eps_lo, 0.0, n_grid=n_grid, rtol=rtol)
+        report = find_spectrum(p, eps_lo, n_grid=n_grid, rtol=rtol)
         payload = report.to_json_dict()
         line = (
             f"{kind} l={l} w={w:+d}: {len(report.bound_states)} bound state(s)"
@@ -459,11 +455,13 @@ def cmd_slab(args) -> int:
     out = _out_dir(args)
     n_samples = int(raw.get("n_samples", 8))
     family = degeneracy_family(cfg, constants, n_samples)
-    k_max = math.sqrt(cfg.k_bound_sq(constants))
+    # degeneracy_family refused every Broken slab, so the verdict holds a family
+    threshold = susy_status(cfg, constants).threshold_data
+    k_max = threshold["k_max"]
     print(f"admissible family: 0 <= k < k_max = {k_max:.6g} cm^-1 (continuous degeneracy)")
     print(f"sampled k values [cm^-1]: {', '.join(format(k, '.6g') for k in family)}")
     probes = [
-        math.sqrt(slab_zero_mode(0.0, cfg.rho0, L_probe, constants=constants).params["k_bound_sq"])
+        math.sqrt(dataclasses.replace(cfg, L=L_probe).k_bound_sq(constants))
         for L_probe in (0.1, 1.0, 10.0)
     ]
     same = all(b == probes[0] for b in probes)
@@ -473,7 +471,7 @@ def cmd_slab(args) -> int:
     )
 
     nu = int(raw.get("nu", 0))
-    k_rep = float(raw.get("k", k_max / 2.0))
+    k_rep = float(raw.get("k", threshold["representative_k"]))
     sol = build_slab_solution(
         nu, k_rep, cfg, constants,
         consistent_gaussian=bool(raw.get("consistent_gaussian", False)),
@@ -568,7 +566,8 @@ def cmd_verify(args) -> int:
     print(f"grid ground state epsilon = {ground:.6g} cm^-2 (scale {H.scale():.3g})")
     payload["grid_ground_epsilon_cm2"] = ground
 
-    if cfg.kind == "cylinder" and beta * cfg.r0**2 < -1.0:
+    # of spheres and cylinders, only cylinders past the threshold are Unbroken
+    if susy_status(cfg, constants).status == "Unbroken":
         overlap = grid_mode_overlap(H, cylinder_zero_mode(beta, cfg.r0))
         print(f"grid ground state vs closed-form zero mode: overlap = {overlap:.6f}")
         payload["zero_mode_overlap"] = overlap
@@ -581,7 +580,7 @@ def cmd_reproduce_paper(args) -> int:
     raw = load_config(args.config)
     constants = _constants_from(raw)
     rho_ref = REFERENCE_SLAB_DENSITY
-    computed_bound = 4.0 * math.pi * coupling_eta(constants) * rho_ref
+    computed_bound = Slab(rho_ref, 1.0).k_bound_sq(constants)  # any thickness
     computed_lambda = lambda_threshold(constants)
 
     def flag(computed: float, published: float) -> str:
@@ -626,14 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", metavar="PATH", help="JSON configuration file")
     shared.add_argument("--out", metavar="DIR", default=".", help="output directory")
     shared.add_argument(
-        "--verify", action="store_true", help="add independent grid cross-checks"
-    )
-    shared.add_argument(
-        "--strict-gauss",
-        action="store_true",
-        help="use Gauss-law field normalizations instead of the as-displayed ones",
-    )
-    shared.add_argument(
         "--no-timestamp",
         action="store_true",
         help="omit generated_at from JSON outputs (byte-stable reruns)",
@@ -647,9 +638,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("constants", parents=[shared], help="derived couplings with units").set_defaults(func=cmd_constants)
     sub.add_parser("zero-mode", parents=[shared], help="ground profile, CSV, verdict").set_defaults(func=cmd_zero_mode)
     sub.add_parser("susy-status", parents=[shared], help="Broken/Unbroken verdict").set_defaults(func=cmd_susy_status)
-    sub.add_parser("spectrum", parents=[shared], help="bound-state scan per channel").set_defaults(func=cmd_spectrum)
+    spectrum = sub.add_parser("spectrum", parents=[shared], help="bound-state scan per channel")
+    spectrum.add_argument("--verify", action="store_true", help="add independent grid cross-checks")
+    spectrum.set_defaults(func=cmd_spectrum)
     sub.add_parser("slab", parents=[shared], help="degeneracy family and profiles").set_defaults(func=cmd_slab)
-    sub.add_parser("verify", parents=[shared], help="independent grid checks").set_defaults(func=cmd_verify)
+    verify = sub.add_parser("verify", parents=[shared], help="independent grid checks")
+    verify.add_argument(
+        "--strict-gauss",
+        action="store_true",
+        help="use Gauss-law field normalizations instead of the as-displayed ones",
+    )
+    verify.set_defaults(func=cmd_verify)
     sub.add_parser("reproduce-paper", parents=[shared], help="computed vs published values").set_defaults(func=cmd_reproduce_paper)
     return parser
 

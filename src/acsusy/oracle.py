@@ -125,15 +125,13 @@ def lowest_eigenvalues(H: GridHamiltonian, m: int) -> np.ndarray:
                                    select_range=(0, m - 1))
 
 
-def eigenvector(H: GridHamiltonian, k: int = 0) -> np.ndarray:
-    """Unit eigenvector of the k-th lowest level (k = 0: ground state).
+def eigenvector(H: GridHamiltonian) -> np.ndarray:
+    """Unit eigenvector of the grid ground state.
 
     LAPACK stebz plus stein inverse iteration; the sign is fixed so the
     largest-magnitude component is positive.
     """
-    if not isinstance(k, (int, np.integer)) or not (0 <= k < H.n):
-        raise ValueError(f"level index must be an integer in [0, {H.n}), got {k!r}")
-    x = linalg.eigh_tridiagonal(H.diag, H.offdiag, select="i", select_range=(k, k))[1][:, 0]
+    x = linalg.eigh_tridiagonal(H.diag, H.offdiag, select="i", select_range=(0, 0))[1][:, 0]
     if x[np.argmax(np.abs(x))] < 0.0:
         x = -x
     return x
@@ -257,4 +255,4 @@ def grid_mode_overlap(H: GridHamiltonian, profile) -> float:
     if nrm == 0.0:
         raise ValueError("profile vanishes on the grid")
     x /= nrm
-    return float(abs(np.dot(x, eigenvector(H, 0))))
+    return float(abs(np.dot(x, eigenvector(H))))

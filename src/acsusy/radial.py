@@ -105,6 +105,11 @@ def _centrifugal(p: RadialProblem) -> float:
     return p.l * p.l - 0.25
 
 
+def _cylinder_mu(p: RadialProblem) -> float:
+    """mu = |w + beta r0^2|: outside r0 a cylinder's V_eff is (mu^2 - 1/4)/r^2."""
+    return abs(p.w + p.beta * p.r0**2)
+
+
 def superpotential(p: RadialProblem, r) -> np.ndarray:
     """W(r) of the channel's first-order operator d/dr - W, as an array.
 
@@ -427,7 +432,7 @@ def shoot_exterior(
         )
     kappa = math.sqrt(-epsilon)
     if p.geometry == GEOM_CYLINDER:
-        mu = abs(p.w + p.beta * p.r0**2)
+        mu = _cylinder_mu(p)
         return _state_at_r0(
             p, (0.5 - mu) / p.r0 - kappa * _bessel_k_ratio(mu, kappa * p.r0), "exterior"
         )
@@ -457,7 +462,7 @@ def _exterior_zero_energy(p: RadialProblem) -> ShootResult:
     """
     r0 = p.r0
     if p.geometry == GEOM_CYLINDER:
-        return _state_at_r0(p, (0.5 - abs(p.w + p.beta * r0**2)) / r0, "exterior")
+        return _state_at_r0(p, (0.5 - _cylinder_mu(p)) / r0, "exterior")
     s = abs(p.beta) * r0**3
     a = p.l + 1.0 - math.copysign(1.0, p.beta) * p.w
     b = 2.0 * p.l + 2.0
@@ -489,21 +494,21 @@ class BoundState:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Matching results for one channel over one energy window.
+    """Matching results for one channel over the window [epsilon_lo, 0].
 
     bound_states holds strictly negative eigenvalues (none exist for
     these squared-operator channels; the field stays empty and the scan
     certifies that). A zero-energy normalizable match, when present, is
     reported in zero_mode. classification_notes explains the outcome.
+    The JSON form writes the window as [epsilon_lo, 0] and the continuum
+    threshold as 0: every channel's continuum starts at eps = 0.
     """
 
     problem: RadialProblem
     epsilon_lo: float
-    epsilon_hi: float
     bound_states: tuple[BoundState, ...]
     zero_mode: Optional[BoundState]
     classification_notes: str
-    continuum_threshold: float = 0.0
     scan_meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -513,10 +518,6 @@ class SpectrumReport:
         if eps != sorted(eps) or len(set(eps)) != len(eps):
             raise ValueError("bound-state energies must be strictly ascending")
 
-    @property
-    def has_states(self) -> bool:
-        return bool(self.bound_states) or self.zero_mode is not None
-
     def to_json_dict(self) -> dict:
         return {
             "geometry": self.problem.geometry,
@@ -524,8 +525,8 @@ class SpectrumReport:
             "w": self.problem.w,
             "beta_cm2": self.problem.beta,
             "r0_cm": self.problem.r0,
-            "epsilon_window_cm2": [self.epsilon_lo, self.epsilon_hi],
-            "continuum_threshold_cm2": self.continuum_threshold,
+            "epsilon_window_cm2": [self.epsilon_lo, 0.0],
+            "continuum_threshold_cm2": 0.0,
             "bound_states": [s.to_json_dict() for s in self.bound_states],
             "zero_mode": None if self.zero_mode is None else self.zero_mode.to_json_dict(),
             "classification_notes": self.classification_notes,
@@ -604,40 +605,40 @@ def _auto_epsilon_lo(p: RadialProblem) -> float:
 def find_spectrum(
     p: RadialProblem,
     epsilon_lo: Optional[float] = None,
-    epsilon_hi: float = 0.0,
     n_grid: int = 400,
     rtol: float = 1.0e-10,
 ) -> SpectrumReport:
-    """Scan the matching mismatch over [epsilon_lo, epsilon_hi].
+    """Scan the matching mismatch over the window [epsilon_lo, 0].
 
-    epsilon_lo defaults to 1.05 times the minimum of V_eff over
-    (1e-3 r0, 10 r0), or -(|beta| + 1/r0^2) when that minimum is not
-    negative.
+    The window always ends at the continuum threshold eps = 0. The
+    negative floor epsilon_lo defaults to 1.05 times the minimum of
+    V_eff over (1e-3 r0, 10 r0), or -(|beta| + 1/r0^2) when that minimum
+    is not negative.
 
-    The grid is log-spaced in |eps| so shallow states near the
-    continuum threshold are resolved; its points are Python floats.
-    Bracketed sign changes are refined by bisection plus a secant
-    polish. When the window touches eps = 0 the endpoint is checked
-    separately against the bounded zero-energy exterior solution, in
-    closed form for both geometries (a power law for the cylinder, a
-    Kummer function of 1/r for the sphere), and reported as a zero mode
-    only when the log-derivatives agree AND the matched state is a
-    square-integrable kernel state of the first-order operator; that
-    combination occurs for cylinders below the coupling threshold and
-    never for spheres. Only the sphere's eps < 0 exterior is
+    The grid runs log-spaced in |eps| from |epsilon_lo| to
+    1e-6 |epsilon_lo|, so shallow states near the threshold are
+    resolved; its points are Python floats. Bracketed sign changes are
+    refined by bisection plus a secant polish. The endpoint eps = 0 is
+    checked separately against the bounded zero-energy exterior
+    solution, in closed form for both geometries (a power law for the
+    cylinder, a Kummer function of 1/r for the sphere), and reported as
+    a zero mode only when the log-derivatives agree AND the matched state
+    is a square-integrable kernel state of the first-order operator;
+    that combination occurs for cylinders below the coupling threshold
+    and never for spheres. Only the sphere's eps < 0 exterior is
     integrated (DOP853 on the log-derivative, see _integrate), and rtol
     sets that integration only.
     """
     if epsilon_lo is None:
         epsilon_lo = _auto_epsilon_lo(p)
-    if not (epsilon_lo < epsilon_hi <= 0.0):
-        raise ValueError("window must satisfy epsilon_lo < epsilon_hi <= 0")
+    if not epsilon_lo < 0.0:
+        raise ValueError("window floor epsilon_lo must be negative")
     if n_grid < 2:
         raise ValueError("n_grid must be at least 2")
 
-    hi_mag = abs(epsilon_hi) if epsilon_hi < 0.0 else 1.0e-6 * abs(epsilon_lo)
     # Python floats: numpy scalars would slow every integrator stage
-    grid = [-g for g in np.geomspace(abs(epsilon_lo), hi_mag, n_grid).tolist()]
+    mag = abs(epsilon_lo)
+    grid = [-g for g in np.geomspace(mag, 1.0e-6 * mag, n_grid).tolist()]
 
     def mismatch(eps: float) -> float:
         li = shoot_interior(p, eps).log_derivative
@@ -663,45 +664,41 @@ def find_spectrum(
     # u picture exactly when its exponent is < -1/2; the sphere kernel
     # state grows like r^(l+1) outside, so no sphere channel has one.
     if p.geometry == GEOM_CYLINDER:
-        tail_exponent = 0.5 - abs(p.w + p.beta * p.r0**2)
+        tail_exponent = 0.5 - _cylinder_mu(p)
         kernel_candidate = tail_exponent < -0.5
     else:
         tail_exponent = float(-p.l)
         kernel_candidate = False
 
     zero_mode = None
-    zero_note = ""
-    if epsilon_hi == 0.0:
-        li = shoot_interior(p, 0.0).log_derivative
-        le = _exterior_zero_energy(p).log_derivative
-        rel = abs(li - le) / (abs(li) + abs(le) + 1.0 / p.r0)
-        if rel < _ZERO_MODE_MATCH_TOL and kernel_candidate:
-            zero_mode = BoundState(epsilon=0.0, node_count=0, match_residual=rel)
-            zero_note = (
-                " The eps = 0 endpoint matches the bounded exterior solution "
-                f"(relative log-derivative gap {rel:.3g}) and the tail "
-                f"r^{tail_exponent:g} is square-integrable: normalizable zero mode."
-            )
-        elif rel < _ZERO_MODE_MATCH_TOL:
-            if p.geometry == GEOM_CYLINDER:
-                reason = (
-                    f"but its tail r^{tail_exponent:g} is not square-integrable"
-                )
-            else:
-                reason = (
-                    f"but the first-order kernel solution grows like r^{p.l + 1} "
-                    "outside the source, so the matched state is not a "
-                    "supercharge kernel state"
-                )
-            zero_note = (
-                " The eps = 0 endpoint matches the bounded exterior solution "
-                f"(relative log-derivative gap {rel:.3g}) {reason}: no zero mode."
-            )
+    li = shoot_interior(p, 0.0).log_derivative
+    le = _exterior_zero_energy(p).log_derivative
+    rel = abs(li - le) / (abs(li) + abs(le) + 1.0 / p.r0)
+    if rel < _ZERO_MODE_MATCH_TOL and kernel_candidate:
+        zero_mode = BoundState(epsilon=0.0, node_count=0, match_residual=rel)
+        zero_note = (
+            " The eps = 0 endpoint matches the bounded exterior solution "
+            f"(relative log-derivative gap {rel:.3g}) and the tail "
+            f"r^{tail_exponent:g} is square-integrable: normalizable zero mode."
+        )
+    elif rel < _ZERO_MODE_MATCH_TOL:
+        if p.geometry == GEOM_CYLINDER:
+            reason = f"but its tail r^{tail_exponent:g} is not square-integrable"
         else:
-            zero_note = (
-                " The eps = 0 endpoint does not match the bounded exterior solution "
-                f"(relative log-derivative gap {rel:.3g})."
+            reason = (
+                f"but the first-order kernel solution grows like r^{p.l + 1} "
+                "outside the source, so the matched state is not a "
+                "supercharge kernel state"
             )
+        zero_note = (
+            " The eps = 0 endpoint matches the bounded exterior solution "
+            f"(relative log-derivative gap {rel:.3g}) {reason}: no zero mode."
+        )
+    else:
+        zero_note = (
+            " The eps = 0 endpoint does not match the bounded exterior solution "
+            f"(relative log-derivative gap {rel:.3g})."
+        )
 
     if states:
         note = f"{len(states)} bound state(s) located by sign-change bracketing."
@@ -713,7 +710,6 @@ def find_spectrum(
     return SpectrumReport(
         problem=p,
         epsilon_lo=epsilon_lo,
-        epsilon_hi=epsilon_hi,
         bound_states=tuple(states),
         zero_mode=zero_mode,
         classification_notes=note + zero_note,

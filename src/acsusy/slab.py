@@ -42,21 +42,19 @@ __all__ = [
 class SlabSolution:
     """One member of the slab ground family.
 
-    nu is the integer azimuthal number of the planar factor, k the
-    degeneracy parameter in cm^-1, k_prime the planar wavenumber
-    (equal to k on the ground family where the spectral parameter is
-    zero). z_profile carries the piecewise transverse closed form.
+    nu is the integer azimuthal number of the planar factor and k the
+    degeneracy parameter in cm^-1. k is also the planar wavenumber k':
+    the spectral parameter is zero on the ground family. z_profile
+    carries the piecewise transverse closed form.
     """
 
     nu: int
     k: float
-    k_prime: float
     z_profile: PiecewiseRadialFunction
-    cfg: Slab
 
     def radial_value(self, r: float) -> float:
-        """Planar factor J_nu(k' r)."""
-        return bessel_j(self.nu, self.k_prime * r)
+        """Planar factor J_nu(k r)."""
+        return bessel_j(self.nu, self.k * r)
 
     def tabulate_z(self, n: int, z_max: float) -> list[tuple[float, float]]:
         """(z, phi_k(z)) samples on a symmetric uniform grid."""
@@ -64,7 +62,7 @@ class SlabSolution:
         return [(float(z), self.z_profile(float(z))) for z in zs]
 
     def tabulate_radial(self, n: int, r_max: float) -> list[tuple[float, float]]:
-        """(r, J_nu(k' r)) samples on a uniform grid from 0."""
+        """(r, J_nu(k r)) samples on a uniform grid from 0."""
         rs = np.linspace(0.0, r_max, n)
         return [(float(r), self.radial_value(float(r))) for r in rs]
 
@@ -90,7 +88,7 @@ def build_slab_solution(
     profile = slab_zero_mode(
         k, cfg.rho0, cfg.L, constants=constants, consistent_gaussian=consistent_gaussian
     )
-    return SlabSolution(nu=int(nu), k=k, k_prime=k, z_profile=profile, cfg=cfg)
+    return SlabSolution(nu=int(nu), k=k, z_profile=profile)
 
 
 def degeneracy_family(

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import InadmissibleK, NonconfiningSign
-from .fields import ChargeConfiguration
-from .units import DEFAULT_CONSTANTS, PhysicalConstants, coupling_eta, lambda_threshold
+from .fields import ChargeConfiguration, Slab
+from .units import DEFAULT_CONSTANTS, PhysicalConstants, lambda_threshold
 
 __all__ = [
     "TailBehavior",
@@ -128,14 +128,6 @@ class PiecewiseRadialFunction:
 
     def drift_at(self, x: float) -> float:
         return self.regions[self.region_index(x)].drift(x)
-
-    def boundaries(self) -> tuple[float, ...]:
-        return tuple(reg.hi for reg in self.regions[:-1])
-
-    @property
-    def last_interior_boundary(self) -> float:
-        bounds = [abs(b) for b in self.boundaries()]
-        return max(bounds) if bounds else 0.0
 
 
 def _relative_jump(f_lo: Callable[[float], float], f_hi: Callable[[float], float], x: float) -> float:
@@ -240,7 +232,7 @@ def slab_zero_mode(
         raise ValueError("L must be positive and finite")
     if not math.isfinite(k) or k < 0.0:
         raise ValueError(f"k must be nonnegative and finite, got {k}")
-    bound = 4.0 * math.pi * coupling_eta(constants) * rho0
+    bound = Slab(rho0, L).k_bound_sq(constants)
     if rho0 == 0.0 and k == 0.0:
         flat = Region(-math.inf, math.inf, lambda z: 1.0, lambda z: 0.0)
         return PiecewiseRadialFunction(
@@ -341,7 +333,7 @@ _MEASURE_POWER = {"r2dr": 2.0, "rdr": 1.0, "dz": 0.0}
 
 def norm_integral(f: PiecewiseRadialFunction, r_max: float) -> NormReport:
     """Squared norm of the profile up to r_max plus tail classification."""
-    last = f.last_interior_boundary
+    last = max((abs(reg.hi) for reg in f.regions[:-1]), default=0.0)
     if last > 0.0 and r_max < 10.0 * last:
         raise ValueError(
             f"r_max = {r_max:g} must be at least 10x the outermost boundary {last:g}"

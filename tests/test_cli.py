@@ -1,5 +1,6 @@
 """End-to-end command tests run in process through acsusy.cli.main."""
 
+import copy
 import json
 import math
 import os
@@ -10,11 +11,12 @@ from pathlib import Path
 import pytest
 
 import acsusy
-from acsusy.cli import main
+from acsusy.cli import build_parser, main
 
 SPHERE = {"geometry": {"kind": "sphere", "rho": 2.0e6, "r0": 1.0}}
 CYLINDER = {"geometry": {"kind": "cylinder", "rho": 2.0e7, "r0": 1.0}}
 SLAB = {"geometry": {"kind": "slab", "rho": 2.0e6, "L": 1.0}}
+FLIPPED_KAPPA = {"kappa_n": -acsusy.DEFAULT_CONSTANTS.kappa_n}
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -141,6 +143,49 @@ def test_zero_mode_wrong_sign_is_a_note_not_an_error(tmp_path, capsys):
     assert not (tmp_path / "zero_mode_slab.csv").exists()
 
 
+def test_zero_mode_slab_is_kappa_covariant(tmp_path, capsys):
+    # (kappa, rho) -> (-kappa, -rho) leaves every result unchanged: the
+    # default slab k is the verdict's representative k, whatever the signs
+    for name in ("ref", "a", "b"):
+        (tmp_path / name).mkdir()
+    assert run(tmp_path / "ref", "zero-mode", SLAB) == 0
+    ref = (tmp_path / "ref" / "zero_mode_slab.csv").read_bytes()
+    capsys.readouterr()
+
+    nonconfining = dict(SLAB, constants=FLIPPED_KAPPA)
+    assert run(tmp_path / "a", "zero-mode", nonconfining) == 0
+    out = capsys.readouterr().out
+    assert "supersymmetry: Broken" in out
+    assert "no closed-form profile for this configuration" in out
+    assert not (tmp_path / "a" / "zero_mode_slab.csv").exists()
+
+    both = {"geometry": {"kind": "slab", "rho": -2.0e6, "L": 1.0}, "constants": FLIPPED_KAPPA}
+    assert run(tmp_path / "b", "zero-mode", both) == 0
+    assert "supersymmetry: Unbroken" in capsys.readouterr().out
+    assert (tmp_path / "b" / "zero_mode_slab.csv").read_bytes() == ref
+
+
+@pytest.mark.parametrize("kappa_sign", [1.0, -1.0])
+def test_verify_overlap_runs_exactly_when_the_verdict_is_unbroken(tmp_path, capsys, kappa_sign):
+    # cylinders at 0.98 and 1.02 times the critical line density, with
+    # both density signs: only kappa rho > 0 past the threshold is Unbroken
+    constants = {"kappa_n": kappa_sign * acsusy.DEFAULT_CONSTANTS.kappa_n}
+    rho_c = acsusy.lambda_threshold() / math.pi  # r0 = 1
+    seen = []
+    for rho_sign, ratio in [(1.0, 0.98), (1.0, 1.02), (-1.0, 0.98), (-1.0, 1.02)]:
+        rho = rho_sign * ratio * rho_c
+        cfg = {"geometry": {"kind": "cylinder", "rho": rho, "r0": 1.0},
+               "constants": constants, "oracle_n": 200}
+        assert run(tmp_path, "susy-status", cfg) == 0
+        assert run(tmp_path, "verify", cfg) == 0
+        capsys.readouterr()
+        status = json.loads((tmp_path / "susy_status.json").read_text())["status"]
+        check = json.loads((tmp_path / "verify.json").read_text())
+        assert ("zero_mode_overlap" in check) == (status == "Unbroken")
+        seen.append(status == "Unbroken")
+    assert seen == [False, kappa_sign > 0, False, kappa_sign < 0]
+
+
 def test_slab_command_outputs(tmp_path, capsys):
     assert run(tmp_path, "slab", SLAB) == 0
     out = capsys.readouterr().out
@@ -252,35 +297,59 @@ def test_cli_start_leaves_numpy_and_scipy_unloaded(tmp_path):
 
 
 # one small config per geometry kind, and the artifacts each subcommand
-# writes for it; None marks the documented typed refusal (exit 2)
+# writes for it; None marks the documented typed refusal (exit 2). slab
+# is the sign of kappa * rho for a slab, which decides whether it has a
+# family, and 0 for the other kinds
 KIND_CONFIGS = {
     "sphere": dict(SPHERE, channels=[{"l": 0, "j": 0.5}], n_grid=24),
     "cylinder": dict(CYLINDER, channels=[{"nu": 0}], n_grid=24),
     "slab": SLAB,
 }
 ARTIFACTS = {
-    "constants": lambda kind: {"constants.json"},
-    "zero-mode": lambda kind: {f"zero_mode_{kind}.csv"},
-    "susy-status": lambda kind: {"susy_status.json"},
-    "spectrum": lambda kind: (
+    "constants": lambda kind, slab: {"constants.json"},
+    "zero-mode": lambda kind, slab: set() if slab < 0 else {f"zero_mode_{kind}.csv"},
+    "susy-status": lambda kind, slab: {"susy_status.json"},
+    "spectrum": lambda kind, slab: (
         None if kind == "slab" else {f"spectrum_{kind}_l0_w0.json", f"spectrum_{kind}.csv"}
     ),
-    "slab": lambda kind: (
-        {"slab.json", "slab_z_profile.csv", "slab_radial_profile.csv"} if kind == "slab" else None
+    "slab": lambda kind, slab: (
+        {"slab.json", "slab_z_profile.csv", "slab_radial_profile.csv"} if slab > 0 else None
     ),
-    "verify": lambda kind: {"verify.json"},
-    "reproduce-paper": lambda kind: {"reproduce_paper.json"},
+    "verify": lambda kind, slab: None if slab < 0 else {"verify.json"},
+    "reproduce-paper": lambda kind, slab: {"reproduce_paper.json"},
 }
+# density factor and kappa_n override of each config variant; a case id
+# names its variant unless it runs the config as given
+VARIANTS = {
+    "as-given": (1.0, None),
+    "rho-flipped": (-1.0, None),
+    "rho-zero": (0.0, None),
+    "kappa-flipped": (1.0, FLIPPED_KAPPA),
+}
+SUBCOMMAND_CASES = [
+    pytest.param(command, kind, variant, id="-".join(
+        [command, kind] + ([] if variant == "as-given" else [variant])))
+    for command in sorted(ARTIFACTS)
+    for kind in sorted(KIND_CONFIGS)
+    for variant in VARIANTS
+]
 
 
-@pytest.mark.parametrize("kind", sorted(KIND_CONFIGS))
-@pytest.mark.parametrize("command", sorted(ARTIFACTS))
-def test_every_subcommand_on_every_geometry(tmp_path, capsys, command, kind):
+@pytest.mark.parametrize("command,kind,variant", SUBCOMMAND_CASES)
+def test_every_subcommand_on_every_geometry(tmp_path, capsys, command, kind, variant):
+    factor, constants = VARIANTS[variant]
+    cfg = copy.deepcopy(KIND_CONFIGS[kind])
+    cfg["geometry"]["rho"] *= factor
+    if constants is not None:
+        cfg["constants"] = constants
+    slab = 0.0
+    if kind == "slab":
+        slab = factor * (-1.0 if constants else 1.0)
     out = tmp_path / "out"
-    argv = [command, "--config", write_cfg(tmp_path, KIND_CONFIGS[kind]), "--out", str(out)]
+    argv = [command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
     if command == "spectrum":
         argv.append("--verify")
-    expected = ARTIFACTS[command](kind)
+    expected = ARTIFACTS[command](kind, slab)
     code = main(argv)
     if expected is None:
         assert code == 2
@@ -300,6 +369,16 @@ def test_every_subcommand_on_every_geometry(tmp_path, capsys, command, kind):
             assert data["oracle"]["r_max_cm"] == {"sphere": 10.0, "cylinder": 20.0}[kind]
         else:
             assert data["geometry"]["kind"] == kind
+
+
+@pytest.mark.parametrize("flag,owner", [("--verify", "spectrum"), ("--strict-gauss", "verify")])
+def test_check_flags_are_accepted_only_where_they_are_read(capsys, flag, owner):
+    assert build_parser().parse_args([owner, flag]).func.__name__ == "cmd_" + owner
+    for command in sorted(set(ARTIFACTS) - {owner}):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 # each layer loads numpy/scipy on first use; every other test imports

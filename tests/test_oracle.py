@@ -82,7 +82,7 @@ def test_eigenvector_is_normalized_eigenpair():
     p = RadialProblem(geometry="sphere", l=0, w=0, beta=1.0, r0=1.0)
     H = build_grid_hamiltonian(p, 400, 8.0)
     lam = lowest_eigenvalues(H, 1)[0]
-    v = eigenvector(H, 0)
+    v = eigenvector(H)
     assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
     Hv = H.diag * v
     Hv[:-1] += H.offdiag * v[1:]

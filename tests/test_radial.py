@@ -9,7 +9,7 @@ import pytest
 from scipy import sparse, special
 from scipy.integrate import solve_ivp
 
-from acsusy import radial
+from acsusy import oracle, radial
 from acsusy import (
     Cylinder,
     InvalidChannel,
@@ -453,7 +453,7 @@ def test_report_accepts_ascending_states_without_node_counts():
     # find_spectrum gives every state node_count 0; two ascending bound
     # states must not trip a node-ordering check
     states = tuple(BoundState(epsilon=e, node_count=0, match_residual=0.0) for e in (-2.0, -1.0))
-    rep = SpectrumReport(problem=sphere_problem(), epsilon_lo=-3.0, epsilon_hi=0.0,
+    rep = SpectrumReport(problem=sphere_problem(), epsilon_lo=-3.0,
                          bound_states=states, zero_mode=None, classification_notes="")
     assert [s.epsilon for s in rep.bound_states] == [-2.0, -1.0]
     assert [row[3] for row in rep.csv_rows()] == [0, 0]
@@ -517,6 +517,36 @@ def test_broken_cylinder_has_no_zero_mode():
     assert rep.bound_states == ()
 
 
+@pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+def test_planted_bound_state_is_found_by_the_scan_and_the_oracle(monkeypatch, delta):
+    # lowering the exterior order mu = |w + beta r0^2| to mu - delta adds
+    # ((mu - delta)^2 - mu^2)/r^2 outside r0: an attractive tail that
+    # binds one state below eps = 0. Both layers get the same potential,
+    # shooting through its closed-form K_mu exterior and the grid through
+    # its smooth potential, so the scan's bracketing and refinement must
+    # land on the oracle's level.
+    p = cylinder_problem(l=0, w=0, beta=-3.0, r0=1.0)
+    assert find_spectrum(p, epsilon_lo=-10.0, n_grid=60).bound_states == ()
+    mu = radial._cylinder_mu(p)
+    planted = mu - delta
+
+    def smooth(q, r):
+        extra = np.where(r > q.r0, (planted**2 - mu**2) / r**2, 0.0)
+        return radial._smooth_potential(q, r) + extra
+
+    monkeypatch.setattr(radial, "_cylinder_mu", lambda q: planted)
+    monkeypatch.setattr(oracle, "_smooth_potential", smooth)
+    rep = find_spectrum(p, epsilon_lo=-10.0, n_grid=60)
+    assert len(rep.bound_states) == 1
+    assert rep.zero_mode is None
+    assert rep.classification_notes.startswith("1 bound state(s) located by sign-change")
+    state = rep.bound_states[0]
+    want = float(oracle.richardson_pair(p, 1600, 40.0, 1)["extrapolated"][0])
+    assert state.epsilon == pytest.approx(want, rel=1e-6)
+    assert rep.csv_rows() == [(0, 0, state.epsilon, 0, state.match_residual, "bound")]
+    assert rep.to_json_dict()["bound_states"] == [state.to_json_dict()]
+
+
 def test_zero_energy_log_derivative_matches_profile_drift():
     # u = sqrt(r) phi: interior log-slope at r0 is 1/(2 r0) + beta r0
     beta, r0 = -3.0, 1.0
@@ -542,7 +572,5 @@ def test_find_spectrum_window_validation():
     p = sphere_problem()
     with pytest.raises(ValueError):
         find_spectrum(p, epsilon_lo=1.0)
-    with pytest.raises(ValueError):
-        find_spectrum(p, epsilon_lo=-1.0, epsilon_hi=2.0)
     with pytest.raises(ValueError):
         find_spectrum(p, epsilon_lo=-1.0, n_grid=1)

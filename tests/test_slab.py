@@ -8,6 +8,7 @@ import pytest
 from acsusy.errors import InadmissibleK, InvalidChannel, NonconfiningSign
 from acsusy.fields import Slab
 from acsusy.slab import build_slab_solution, degeneracy_family, slab_residual
+from acsusy.specfun import bessel_j
 from acsusy.units import slab_k_bound
 
 RHO = 2.0e6  # esu/cm^3
@@ -26,8 +27,8 @@ def test_ground_family_planar_wavenumber_equals_k():
     cfg = slab_cfg()
     for k in (0.0, 1.2, 0.9 * k_edge()):
         sol = build_slab_solution(0, k, cfg)
-        assert sol.k_prime == k
         assert sol.k == k
+        assert sol.radial_value(0.7) == bessel_j(0, k * 0.7)
 
 
 def test_radial_factor_satisfies_bessel_ode():
