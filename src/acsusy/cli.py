@@ -26,7 +26,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from ._lazy import np
+from ._lazy import load_on_first_use, np
 from .errors import (
     AcsusyError,
     ConfigError,
@@ -34,24 +34,45 @@ from .errors import (
     NonconfiningSign,
 )
 from .fields import GEOMETRIES, Slab, divergence_check
-from .oracle import (
-    build_grid_hamiltonian,
-    build_susy_pair,
-    grid_mode_overlap,
-    lowest_eigenvalues,
-    richardson_pair,
-    susy_algebra_check,
-)
-from .radial import RadialProblem, find_spectrum
-from .slab import build_slab_solution, degeneracy_family, slab_residual
-from .specfun import spin_orbit_eigenvalue
 from .units import DEFAULT_CONSTANTS, PhysicalConstants, coupling_eta, lambda_threshold
-from .zeromode import (
-    cylinder_zero_mode,
-    slab_zero_mode,
-    sphere_zero_mode,
-    susy_status,
+
+# layer module -> the names the commands call from it. Each module loads
+# when a command first reads one of its names, so reading a config loads
+# none of them.
+_LAYER_NAMES = {
+    "oracle": (
+        "build_grid_hamiltonian",
+        "build_susy_pair",
+        "grid_mode_overlap",
+        "lowest_eigenvalues",
+        "richardson_pair",
+        "susy_algebra_check",
+    ),
+    "radial": ("RadialProblem", "find_spectrum"),
+    "slab": ("build_slab_solution", "degeneracy_family", "slab_residual"),
+    "specfun": ("spin_orbit_eigenvalue",),
+    "zeromode": ("cylinder_zero_mode", "slab_zero_mode", "sphere_zero_mode", "susy_status"),
+}
+__getattr__ = load_on_first_use(
+    globals(), {name: home for home, names in _LAYER_NAMES.items() for name in names}
 )
+
+
+class _Layers:
+    """This module's globals as attributes, loading a layer name on first use.
+
+    The commands call each layer function as _layers.<name>, so a caller
+    that rebinds acsusy.cli.<name> (a tracer, a test stub) rebinds what
+    they call. It reads globals(), not sys.modules[__name__], which under
+    python -m with a profiler or runpy need not hold this namespace.
+    """
+
+    def __getattr__(self, name: str):
+        namespace = globals()
+        return namespace[name] if name in namespace else __getattr__(name)
+
+
+_layers = _Layers()
 
 __all__ = ["main"]
 
@@ -302,7 +323,7 @@ def cmd_susy_status(args) -> int:
     raw = load_config(args.config)
     constants = _constants_from(raw)
     cfg = _geometry_from(raw)
-    verdict = susy_status(cfg, constants)
+    verdict = _layers.susy_status(cfg, constants)
     _verdict_lines(verdict)
     payload = {
         "status": verdict.status,
@@ -317,13 +338,13 @@ def cmd_susy_status(args) -> int:
 
 def _zero_mode_profile(cfg, constants, raw, verdict):
     if cfg.kind == "sphere":
-        return sphere_zero_mode(cfg.beta(constants), cfg.r0)
+        return _layers.sphere_zero_mode(cfg.beta(constants), cfg.r0)
     if cfg.kind == "cylinder":
-        return cylinder_zero_mode(cfg.beta(constants), cfg.r0)
+        return _layers.cylinder_zero_mode(cfg.beta(constants), cfg.r0)
     # default k: the verdict's representative family member; a Broken
     # slab has none, and k = 0 gives the free profile or the refusal
     k = float(raw.get("k", verdict.threshold_data.get("representative_k", 0.0)))
-    return slab_zero_mode(
+    return _layers.slab_zero_mode(
         k,
         cfg.rho0,
         cfg.L,
@@ -336,7 +357,7 @@ def cmd_zero_mode(args) -> int:
     raw = load_config(args.config)
     constants = _constants_from(raw)
     cfg = _geometry_from(raw)
-    verdict = susy_status(cfg, constants)
+    verdict = _layers.susy_status(cfg, constants)
     _verdict_lines(verdict)
     out = _out_dir(args)
     try:
@@ -387,7 +408,7 @@ def _channels_from(raw: dict, kind: str) -> list[tuple[int, int]]:
                     f"config key channels[{i}]: (l, j) channels need a sphere geometry"
                 )
             l = int(entry["l"])
-            pairs.append((l, spin_orbit_eigenvalue(l, float(entry["j"]))))
+            pairs.append((l, _layers.spin_orbit_eigenvalue(l, float(entry["j"]))))
     return pairs
 
 
@@ -407,15 +428,15 @@ def cmd_spectrum(args) -> int:
 
     combined_rows = []
     for l, w in _channels_from(raw, kind):
-        p = RadialProblem(geometry=kind, l=l, w=w, beta=beta, r0=cfg.r0)
-        report = find_spectrum(p, eps_lo, n_grid=n_grid, rtol=rtol)
+        p = _layers.RadialProblem(geometry=kind, l=l, w=w, beta=beta, r0=cfg.r0)
+        report = _layers.find_spectrum(p, eps_lo, n_grid=n_grid, rtol=rtol)
         payload = report.to_json_dict()
         line = (
             f"{kind} l={l} w={w:+d}: {len(report.bound_states)} bound state(s)"
             f"{', zero mode at epsilon = 0' if report.zero_mode else ''}"
         )
         if args.verify:
-            pair = richardson_pair(p, oracle_n, r_max, m=3)
+            pair = _layers.richardson_pair(p, oracle_n, r_max, m=3)
             oracle_eps = float(pair["extrapolated"][0])
             payload["oracle"] = {
                 "n": oracle_n,
@@ -454,9 +475,9 @@ def cmd_slab(args) -> int:
         raise ConfigError("the slab command needs geometry.kind = 'slab'")
     out = _out_dir(args)
     n_samples = int(raw.get("n_samples", 8))
-    family = degeneracy_family(cfg, constants, n_samples)
+    family = _layers.degeneracy_family(cfg, constants, n_samples)
     # degeneracy_family refused every Broken slab, so the verdict holds a family
-    threshold = susy_status(cfg, constants).threshold_data
+    threshold = _layers.susy_status(cfg, constants).threshold_data
     k_max = threshold["k_max"]
     print(f"admissible family: 0 <= k < k_max = {k_max:.6g} cm^-1 (continuous degeneracy)")
     print(f"sampled k values [cm^-1]: {', '.join(format(k, '.6g') for k in family)}")
@@ -472,11 +493,11 @@ def cmd_slab(args) -> int:
 
     nu = int(raw.get("nu", 0))
     k_rep = float(raw.get("k", threshold["representative_k"]))
-    sol = build_slab_solution(
+    sol = _layers.build_slab_solution(
         nu, k_rep, cfg, constants,
         consistent_gaussian=bool(raw.get("consistent_gaussian", False)),
     )
-    residuals = slab_residual(sol, cfg, constants)
+    residuals = _layers.slab_residual(sol, cfg, constants)
     print(
         f"representative member nu={nu}, k={k_rep:.6g} cm^-1: transverse-equation "
         f"relative leftover interior {residuals['interior']:.3g}, "
@@ -534,8 +555,8 @@ def cmd_verify(args) -> int:
     payload["gauss_defect_rel"] = rel_gauss
 
     if cfg.kind == "slab":
-        sol = build_slab_solution(0, 0.0, cfg, constants)
-        residuals = slab_residual(sol, cfg, constants)
+        sol = _layers.build_slab_solution(0, 0.0, cfg, constants)
+        residuals = _layers.slab_residual(sol, cfg, constants)
         print(
             f"transverse residuals at k = 0: interior {residuals['interior']:.3g}, "
             f"exterior {residuals['exterior']:.3g}"
@@ -548,8 +569,9 @@ def cmd_verify(args) -> int:
     n = int(raw.get("oracle_n", 400))
     r_max = float(raw.get("r_max", cfg.default_r_max))
 
-    pair = build_susy_pair(cfg.kind, beta, cfg.r0, n, r_max)
-    algebra = susy_algebra_check(pair)
+    pair = _layers.build_susy_pair(cfg.kind, beta, cfg.r0, n, r_max)
+    H = _layers.build_grid_hamiltonian(pair.problem, n, r_max)
+    algebra = _layers.susy_algebra_check(pair, H)
     print(f"nilpotency defect |Q^2| = {algebra['q2_norm']:.3g} (structural)")
     print(
         "anticommutator vs grid Hamiltonian, relative band residual = "
@@ -561,14 +583,13 @@ def cmd_verify(args) -> int:
     )
     payload["algebra"] = algebra
 
-    H = build_grid_hamiltonian(pair.problem, n, r_max)
-    ground = float(lowest_eigenvalues(H, 1)[0])
+    ground = float(_layers.lowest_eigenvalues(H, 1)[0])
     print(f"grid ground state epsilon = {ground:.6g} cm^-2 (scale {H.scale():.3g})")
     payload["grid_ground_epsilon_cm2"] = ground
 
     # of spheres and cylinders, only cylinders past the threshold are Unbroken
-    if susy_status(cfg, constants).status == "Unbroken":
-        overlap = grid_mode_overlap(H, cylinder_zero_mode(beta, cfg.r0))
+    if _layers.susy_status(cfg, constants).status == "Unbroken":
+        overlap = _layers.grid_mode_overlap(H, _layers.cylinder_zero_mode(beta, cfg.r0))
         print(f"grid ground state vs closed-form zero mode: overlap = {overlap:.6f}")
         payload["zero_mode_overlap"] = overlap
 

@@ -203,14 +203,17 @@ def _tri_lowest(diag: np.ndarray, off: np.ndarray) -> float:
                                          select_range=(0, 0))[0])
 
 
-def susy_algebra_check(pair: DiscreteSusyPair) -> dict:
+def susy_algebra_check(pair: DiscreteSusyPair, H: GridHamiltonian) -> dict:
     """Structural identities of the factorized pair.
+
+    H is the independent flux assembly of the same channel on the same
+    grid, build_grid_hamiltonian(pair.problem, pair.n, pair.r_max); a
+    caller that also needs its spectrum builds it once for both.
 
     q2_norm is identically zero: the pair stores one operator Q and its
     transpose, so Q composed with itself is never formed; the entry
     records that the nilpotency holds by construction. The residual
-    compares H_minus = Q^T Q against the independent flux assembly of
-    the same channel potential (relative infinity norm over both
+    compares H_minus = Q^T Q against H (relative infinity norm over both
     bands, excluding the wall cell's diagonal: the Dirichlet face
     treatment leaves a drift cross-term there that has no tridiagonal
     Gram counterpart, O(W h) relative and irrelevant to the bulk
@@ -218,8 +221,9 @@ def susy_algebra_check(pair: DiscreteSusyPair) -> dict:
     reported; nonnegativity is exact up to roundoff because each matrix
     is an explicit Gram form.
     """
+    if (H.problem, H.n, H.r_max) != (pair.problem, pair.n, pair.r_max):
+        raise ValueError("H must be the flux assembly of the pair's channel and grid")
     dm, om = pair.h_minus_bands()
-    H = build_grid_hamiltonian(pair.problem, pair.n, pair.r_max)
     denom = max(float(np.max(np.abs(H.diag))), float(np.max(np.abs(H.offdiag))), 1.0e-300)
     res = max(
         float(np.max(np.abs(dm[:-1] - H.diag[:-1]))),

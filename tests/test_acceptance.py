@@ -175,7 +175,8 @@ def test_criterion_08_grid_algebra_and_zero_mode_convergence():
     # (a) positive semidefinite anticommutator in both sectors
     for kind, beta, r_max in (("sphere", 3.0, 8.0), ("cylinder", -3.0520566, 20.0)):
         pair = build_susy_pair(kind, beta, 1.0, 400, r_max)
-        chk = susy_algebra_check(pair)
+        H = build_grid_hamiltonian(pair.problem, pair.n, pair.r_max)
+        chk = susy_algebra_check(pair, H)
         scale = float(pair.h_minus_bands()[0].max())
         assert chk["q2_norm"] == 0.0
         assert chk["min_eig_minus"] >= -1e-9 * scale

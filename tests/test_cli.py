@@ -296,6 +296,33 @@ def test_cli_start_leaves_numpy_and_scipy_unloaded(tmp_path):
     assert {f.name for f in (tmp_path / "out").iterdir()} == {"susy_status.json", "constants.json"}
 
 
+LAYER_MODULES = ("acsusy.radial", "acsusy.oracle", "acsusy.zeromode", "acsusy.slab",
+                 "acsusy.specfun")
+
+
+def test_cli_start_loads_no_layer_module(tmp_path):
+    # reading a config compiles only cli, fields, units and errors; each
+    # command then loads the layers it calls, and numpy/scipy stay out
+    code = (
+        "import contextlib, io, sys\n"
+        "from acsusy.cli import load_config, main\n"
+        f"layers = {LAYER_MODULES!r}\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m in layers or m.startswith(('numpy', 'scipy')))\n"
+        "load_config(sys.argv[1])\n"
+        "seen = [loaded()]\n"
+        "for cmd in ('constants', 'reproduce-paper', 'susy-status'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([cmd, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "    seen.append(loaded())\n"
+        "print(seen)\n"
+    )
+    out = _cold(["-c", code, write_cfg(tmp_path, CYLINDER), str(tmp_path / "out")], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[[], [], [], ['acsusy.zeromode']]"
+
+
 # one small config per geometry kind, and the artifacts each subcommand
 # writes for it; None marks the documented typed refusal (exit 2). slab
 # is the sign of kappa * rho for a slab, which decides whether it has a
@@ -381,9 +408,13 @@ def test_check_flags_are_accepted_only_where_they_are_read(capsys, flag, owner):
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-# each layer loads numpy/scipy on first use; every other test imports
-# numpy first, so these runs are the only ones that take those paths cold
+# the CLI loads each layer, and each layer numpy/scipy, on first use;
+# every other test imports them first, so these runs are the only ones
+# that take those paths cold
 COLD_RUNS = [
+    ("constants", "slab"),
+    ("susy-status", "cylinder"),
+    ("reproduce-paper", "sphere"),
     ("zero-mode", "sphere"),
     ("zero-mode", "cylinder"),
     ("zero-mode", "slab"),

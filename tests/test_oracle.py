@@ -106,9 +106,13 @@ def test_grid_handles_centrifugal_channels():
     assert lam == pytest.approx((6.987932 / math.pi) ** 2, rel=5e-3)
 
 
+def algebra_check(pair):
+    return susy_algebra_check(pair, build_grid_hamiltonian(pair.problem, pair.n, pair.r_max))
+
+
 def test_susy_pair_gram_structure():
     pair = build_susy_pair("cylinder", -2.5, 1.0, 300, 15.0)
-    chk = susy_algebra_check(pair)
+    chk = algebra_check(pair)
     assert chk["q2_norm"] == 0.0
     assert chk["nonneg_spectrum_flag"]
     scale = pair.h_minus_bands()[0].max()
@@ -120,14 +124,22 @@ def test_anticommutator_agrees_with_flux_hamiltonian():
     # drift-free case: the Gram product reproduces the kinetic bands to
     # rounding (sqrt(x)^2 vs x costs one ulp per entry)
     pair0 = build_susy_pair("cylinder", 0.0, 1.0, 200, 10.0)
-    assert susy_algebra_check(pair0)["anticommutator_vs_h_residual"] < 1e-14
+    assert algebra_check(pair0)["anticommutator_vs_h_residual"] < 1e-14
     # with drift the band difference is O(W^2 h^2) relative
     pair = build_susy_pair("cylinder", -3.0, 1.0, 400, 20.0)
-    res = susy_algebra_check(pair)["anticommutator_vs_h_residual"]
+    res = algebra_check(pair)["anticommutator_vs_h_residual"]
     assert res < 2e-2
     finer = build_susy_pair("cylinder", -3.0, 1.0, 1600, 20.0)
-    res_fine = susy_algebra_check(finer)["anticommutator_vs_h_residual"]
+    res_fine = algebra_check(finer)["anticommutator_vs_h_residual"]
     assert res_fine < res / 8  # shrinks at second order
+
+
+def test_algebra_check_refuses_a_grid_of_another_channel():
+    pair = build_susy_pair("cylinder", -3.0, 1.0, 200, 20.0)
+    for p, n, r_max in ((pair.problem, 400, 20.0), (pair.problem, 200, 10.0),
+                        (RadialProblem("cylinder", 0, 0, -2.0, 1.0), 200, 20.0)):
+        with pytest.raises(ValueError, match="flux assembly"):
+            susy_algebra_check(pair, build_grid_hamiltonian(p, n, r_max))
 
 
 def test_partner_spectra_share_nonzero_levels():
