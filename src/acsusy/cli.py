@@ -17,13 +17,11 @@ command is deterministic for a fixed config; JSON outputs carry a
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import difflib
+# argparse, difflib and datetime are imported where they are used:
+# reading a config needs none of them
 import json
 import math
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from ._lazy import load_on_first_use, np
@@ -105,6 +103,7 @@ _GEOMETRY_KINDS = tuple(GEOMETRIES)
 def _reject_unknown(mapping: dict, allowed: set, path: str) -> None:
     for key in mapping:
         if key not in allowed:
+            import difflib
             msg = f"unknown config key '{path}{key}'"
             hint = difflib.get_close_matches(str(key), sorted(allowed), n=1)
             if hint:
@@ -233,7 +232,7 @@ def _constants_from(raw: dict) -> PhysicalConstants:
     if not block:
         return DEFAULT_CONSTANTS
     try:
-        return dataclasses.replace(DEFAULT_CONSTANTS, **block)
+        return PhysicalConstants(**block)
     except ValueError as exc:
         raise ConfigError(f"constants override rejected: {exc}") from exc
 
@@ -270,6 +269,7 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
 def _write_json(path: Path, payload: dict, args) -> None:
     body = dict(payload)
     if not args.no_timestamp:
+        from datetime import datetime, timezone
         body["generated_at"] = datetime.now(timezone.utc).isoformat()
     path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {path}")
@@ -482,7 +482,7 @@ def cmd_slab(args) -> int:
     print(f"admissible family: 0 <= k < k_max = {k_max:.6g} cm^-1 (continuous degeneracy)")
     print(f"sampled k values [cm^-1]: {', '.join(format(k, '.6g') for k in family)}")
     probes = [
-        math.sqrt(dataclasses.replace(cfg, L=L_probe).k_bound_sq(constants))
+        math.sqrt(Slab(cfg.rho0, L_probe).k_bound_sq(constants))
         for L_probe in (0.1, 1.0, 10.0)
     ]
     same = all(b == probes[0] for b in probes)
@@ -642,6 +642,7 @@ def cmd_reproduce_paper(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="PATH", help="JSON configuration file")
     shared.add_argument("--out", metavar="DIR", default=".", help="output directory")

@@ -15,17 +15,18 @@ residual against 4 pi rho either way.
 
 Boundary points evaluate through the interior branch (regions are
 closed on the inside).
+
+The sources are Frozen records (see units), not dataclasses: reading a
+config builds them, and dataclasses and typing would slow every start.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar, Union
 
 from ._lazy import np
 from .errors import BoundaryPoint
-from .units import DEFAULT_CONSTANTS, PhysicalConstants, beta_cylinder, beta_sphere, coupling_eta
+from .units import DEFAULT_CONSTANTS, Frozen, PhysicalConstants, beta_cylinder, beta_sphere, coupling_eta
 
 __all__ = [
     "Sphere",
@@ -40,24 +41,24 @@ __all__ = [
 ]
 
 
-class _Source:
+class _Source(Frozen):
     """What the three uniform sources share.
 
-    Each source names its density and size fields (the size name is
-    also its config and JSON key) and measures positions by one
+    Each source has a kind name and two fields, density then size, named
+    by the class attributes kind, density_name and size_name (the size
+    name is also its config and JSON key). It measures positions by one
     coordinate: distance from the center, the mid-plane or the axis.
     The interface sits where that coordinate equals edge.
     """
 
-    kind: ClassVar[str]
-    density_name: ClassVar[str]
-    size_name: ClassVar[str]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.density):
+    def __init__(self, density: float, size: float) -> None:
+        if not math.isfinite(density):
             raise ValueError(f"{self.density_name} must be finite")
-        if not (self.size > 0.0 and math.isfinite(self.size)):
+        if not (size > 0.0 and math.isfinite(size)):
             raise ValueError(f"{self.size_name} must be positive and finite")
+        self._set(density, size)
 
     @property
     def density(self) -> float:
@@ -74,16 +75,14 @@ class _Source:
         return self.size
 
 
-@dataclass(frozen=True)
 class Sphere(_Source):
     """Uniform ball of charge: density rho0 [esu/cm^3] inside radius r0 [cm]."""
 
-    rho0: float
-    r0: float
+    __slots__ = ("rho0", "r0")
+    kind, density_name, size_name = "sphere", "rho0", "r0"
 
-    kind: ClassVar[str] = "sphere"
-    density_name: ClassVar[str] = "rho0"
-    size_name: ClassVar[str] = "r0"
+    def __init__(self, rho0: float, r0: float) -> None:
+        super().__init__(rho0, r0)
 
     def beta(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
         return beta_sphere(self.rho0, constants)
@@ -103,16 +102,14 @@ class Sphere(_Source):
         return (4.0 * math.pi * self.rho0 * self.r0**3 / 3.0) * pos / r**3
 
 
-@dataclass(frozen=True)
 class Slab(_Source):
     """Uniform slab: density rho0 [esu/cm^3], thickness L [cm], centered on z = 0."""
 
-    rho0: float
-    L: float
+    __slots__ = ("rho0", "L")
+    kind, density_name, size_name = "slab", "rho0", "L"
 
-    kind: ClassVar[str] = "slab"
-    density_name: ClassVar[str] = "rho0"
-    size_name: ClassVar[str] = "L"
+    def __init__(self, rho0: float, L: float) -> None:
+        super().__init__(rho0, L)
 
     def k_bound_sq(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
         """Confinement bound 4 pi eta rho0 on k^2, cm^-2; any sign."""
@@ -137,16 +134,14 @@ class Slab(_Source):
         return np.array([0.0, 0.0, ez])
 
 
-@dataclass(frozen=True)
 class Cylinder(_Source):
     """Uniform infinite cylinder along z: density rho [esu/cm^3], radius r0 [cm]."""
 
-    rho: float
-    r0: float
+    __slots__ = ("rho", "r0")
+    kind, density_name, size_name = "cylinder", "rho", "r0"
 
-    kind: ClassVar[str] = "cylinder"
-    density_name: ClassVar[str] = "rho"
-    size_name: ClassVar[str] = "r0"
+    def __init__(self, rho: float, r0: float) -> None:
+        super().__init__(rho, r0)
 
     def beta(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
         return beta_cylinder(self.rho, constants)
@@ -173,7 +168,7 @@ class Cylinder(_Source):
         return amp * self.r0**2 * perp / s**2
 
 
-ChargeConfiguration = Union[Sphere, Slab, Cylinder]
+ChargeConfiguration = Sphere | Slab | Cylinder
 
 # config kind -> source class, in the order the CLI lists the kinds
 GEOMETRIES = {cls.kind: cls for cls in (Sphere, Slab, Cylinder)}

@@ -24,12 +24,16 @@ magnitude convention under which a positive sphere or slab charge
 density gives a confining Gaussian weight. Callers who prefer the
 signed-moment convention pass their own PhysicalConstants; every
 formula here is covariant under (kappa, rho) -> (-kappa, -rho).
+
+PhysicalConstants and the source geometries in fields are Frozen
+records, plain __slots__ classes rather than frozen dataclasses:
+importing dataclasses pulls in inspect, about 11 ms at every start of
+the command line, and reading a config needs neither.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NonconfiningSign
 
@@ -44,8 +48,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class Frozen:
+    """Immutable value record with the semantics of a frozen dataclass.
+
+    A subclass names its fields in __slots__, in constructor order, and
+    its __init__ validates the arguments and stores them with _set.
+    Records are equal when they have the same type and field values,
+    hash by those values, repr as Name(field=value, ...) and raise
+    AttributeError on assignment.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which revalidates
+        return type(self), self._values()
+
+
+class PhysicalConstants(Frozen):
     """Inputs every coupling derives from.
 
     e_esu       elementary charge, esu
@@ -53,17 +98,18 @@ class PhysicalConstants:
     m_c2_erg    rest energy of the particle, erg
     """
 
-    e_esu: float = 4.8032e-10
-    kappa_n: float = 1.9130
-    m_c2_erg: float = 1.5053e-3
+    __slots__ = ("e_esu", "kappa_n", "m_c2_erg")
 
-    def __post_init__(self) -> None:
-        if not (self.e_esu > 0.0 and math.isfinite(self.e_esu)):
+    def __init__(
+        self, e_esu: float = 4.8032e-10, kappa_n: float = 1.9130, m_c2_erg: float = 1.5053e-3
+    ) -> None:
+        if not (e_esu > 0.0 and math.isfinite(e_esu)):
             raise ValueError("e_esu must be positive and finite")
-        if not (self.m_c2_erg > 0.0 and math.isfinite(self.m_c2_erg)):
+        if not (m_c2_erg > 0.0 and math.isfinite(m_c2_erg)):
             raise ValueError("m_c2_erg must be positive and finite")
-        if not math.isfinite(self.kappa_n) or self.kappa_n == 0.0:
+        if not math.isfinite(kappa_n) or kappa_n == 0.0:
             raise ValueError("kappa_n must be finite and nonzero")
+        self._set(e_esu, kappa_n, m_c2_erg)
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,16 @@ def test_spectrum_single_channel_with_oracle(tmp_path, capsys):
     assert csv_lines[-1].endswith("zero_mode")
 
 
+def test_rejected_constants_override_is_a_config_error(tmp_path, capsys):
+    # the schema accepts any finite number; PhysicalConstants refuses it
+    cfg = dict(SPHERE, constants={"m_c2_erg": -1.0})
+    assert run(tmp_path, "constants", cfg) == 2
+    assert capsys.readouterr().err == (
+        "error: constants override rejected: m_c2_erg must be positive and finite\n"
+    )
+    assert not (tmp_path / "constants.json").exists()
+
+
 def test_no_timestamp_reruns_are_byte_identical(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -300,9 +311,20 @@ LAYER_MODULES = ("acsusy.radial", "acsusy.oracle", "acsusy.zeromode", "acsusy.sl
                  "acsusy.specfun")
 
 
+# stdlib modules that reading a config does not need: cli imports
+# argparse, difflib and datetime where it uses them, and units and fields
+# use neither dataclasses (which imports inspect) nor typing
+DEFERRED_STDLIB = ("argparse", "dataclasses", "datetime", "difflib", "inspect", "typing")
+
+
 def test_cli_start_loads_no_layer_module(tmp_path):
-    # reading a config compiles only cli, fields, units and errors; each
-    # command then loads the layers it calls, and numpy/scipy stay out
+    # reading a config compiles only cli, fields, units and errors, and
+    # loads none of DEFERRED_STDLIB beyond what the interpreter's own
+    # start (site hooks differ between hosts) already holds; each command
+    # then loads the layers it calls, and numpy/scipy stay out
+    stdlib = f"print(sorted(set({DEFERRED_STDLIB!r}) & set(sys.modules)))\n"
+    bare = _cold(["-c", "import sys\n" + stdlib], tmp_path)
+    assert bare.returncode == 0, bare.stderr
     code = (
         "import contextlib, io, sys\n"
         "from acsusy.cli import load_config, main\n"
@@ -311,6 +333,7 @@ def test_cli_start_loads_no_layer_module(tmp_path):
         "    return sorted(m for m in sys.modules\n"
         "                  if m in layers or m.startswith(('numpy', 'scipy')))\n"
         "load_config(sys.argv[1])\n"
+        + stdlib +
         "seen = [loaded()]\n"
         "for cmd in ('constants', 'reproduce-paper', 'susy-status'):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -320,7 +343,30 @@ def test_cli_start_loads_no_layer_module(tmp_path):
     )
     out = _cold(["-c", code, write_cfg(tmp_path, CYLINDER), str(tmp_path / "out")], tmp_path)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[[], [], [], ['acsusy.zeromode']]"
+    assert out.stdout.splitlines() == [
+        bare.stdout.strip(), "[[], [], [], ['acsusy.zeromode']]"
+    ]
+
+
+def test_cold_did_you_mean_hint(tmp_path):
+    # difflib loads only when a key is unknown; pytest has always loaded
+    # it, so only a fresh interpreter takes that import
+    bad = {"geometry": {"kind": "sphere", "rho0": 2.0e6, "r0": 1.0}}
+    out = _cold(["-m", "acsusy.cli", "constants", "--config", write_cfg(tmp_path, bad),
+                 "--out", "out"], tmp_path)
+    assert out.returncode == 2
+    assert out.stderr == (
+        "error: unknown config key 'geometry.rho0' (did you mean 'geometry.rho'?)\n"
+    )
+
+
+def test_cold_generated_at_is_an_aware_utc_time(tmp_path):
+    # datetime loads only when a JSON artifact is stamped
+    out = _cold(["-m", "acsusy.cli", "constants", "--config", write_cfg(tmp_path, SPHERE),
+                 "--out", "out"], tmp_path)
+    assert out.returncode == 0, out.stderr
+    stamp = json.loads((tmp_path / "out" / "constants.json").read_text())["generated_at"]
+    assert datetime.fromisoformat(stamp).utcoffset() == timedelta(0)
 
 
 # one small config per geometry kind, and the artifacts each subcommand

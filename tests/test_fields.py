@@ -1,6 +1,8 @@
 """Source fields: values, continuity, Gauss-law diagnostics."""
 
+import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,3 +131,46 @@ def test_configuration_validation():
         Cylinder(rho=float("inf"), r0=1.0)
     # zero density is allowed (free-particle limiting case)
     Slab(rho0=0.0, L=1.0)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [Sphere(rho0=RHO, r0=1.0), Slab(rho0=RHO, L=1.0), Cylinder(rho=RHO, r0=1.0)],
+    ids=lambda cfg: cfg.kind,
+)
+def test_sources_are_frozen_values(cfg):
+    # the value semantics of the former frozen dataclasses
+    cls = type(cfg)
+    same = cls(cfg.density, cfg.size)
+    assert same == cfg
+    assert hash(same) == hash(cfg)
+    assert cls(**{cfg.density_name: cfg.density, cfg.size_name: 2.0}) != cfg
+    assert repr(cfg) == f"{cls.__name__}({cfg.density_name}=2000000.0, {cfg.size_name}=1.0)"
+    assert eval(repr(cfg), {cls.__name__: cls}) == cfg
+    assert copy.deepcopy(cfg) == cfg
+    with pytest.raises(AttributeError):
+        setattr(cfg, cfg.size_name, 2.0)
+    with pytest.raises(AttributeError):
+        delattr(cfg, cfg.size_name)
+    assert cfg.size == 1.0
+
+
+def test_sources_of_different_kinds_are_unequal():
+    assert Sphere(rho0=1.0, r0=1.0) != Cylinder(rho=1.0, r0=1.0)
+    assert Sphere(rho0=1.0, r0=1.0) != Slab(rho0=1.0, L=1.0)
+
+
+@pytest.mark.parametrize(
+    "cls,args,message",
+    [
+        (Sphere, (math.nan, 1.0), "rho0 must be finite"),
+        (Sphere, (RHO, 0.0), "r0 must be positive and finite"),
+        (Slab, (math.inf, 1.0), "rho0 must be finite"),
+        (Slab, (RHO, -1.0), "L must be positive and finite"),
+        (Cylinder, (-math.inf, 1.0), "rho must be finite"),
+        (Cylinder, (RHO, math.inf), "r0 must be positive and finite"),
+    ],
+)
+def test_invalid_source_arguments_keep_their_messages(cls, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(*args)

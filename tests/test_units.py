@@ -1,6 +1,8 @@
 """Frozen constants and derived couplings."""
 
+import copy
 import math
+import re
 
 import pytest
 
@@ -86,3 +88,36 @@ def test_constants_validation():
         PhysicalConstants(e_esu=4.8032e-10, kappa_n=1.9130, m_c2_erg=-1.0)
     with pytest.raises(ValueError):
         PhysicalConstants(e_esu=4.8032e-10, kappa_n=float("nan"), m_c2_erg=1.5053e-3)
+
+
+def test_constants_are_frozen_values():
+    # the value semantics of the former frozen dataclass
+    c = PhysicalConstants()
+    assert c == DEFAULT_CONSTANTS
+    assert hash(c) == hash(DEFAULT_CONSTANTS)
+    assert PhysicalConstants(4.8032e-10, 1.9130, 1.5053e-3) == c
+    assert PhysicalConstants(kappa_n=-1.9130) != c
+    assert repr(c) == "PhysicalConstants(e_esu=4.8032e-10, kappa_n=1.913, m_c2_erg=0.0015053)"
+    assert eval(repr(c), {"PhysicalConstants": PhysicalConstants}) == c
+    assert copy.deepcopy(c) == c
+    with pytest.raises(AttributeError):
+        c.kappa_n = -1.9130
+    with pytest.raises(AttributeError):
+        del c.kappa_n
+    assert c.kappa_n == 1.9130
+
+
+@pytest.mark.parametrize(
+    "override,message",
+    [
+        ({"e_esu": 0.0}, "e_esu must be positive and finite"),
+        ({"e_esu": math.inf}, "e_esu must be positive and finite"),
+        ({"m_c2_erg": -1.0}, "m_c2_erg must be positive and finite"),
+        ({"m_c2_erg": math.nan}, "m_c2_erg must be positive and finite"),
+        ({"kappa_n": 0.0}, "kappa_n must be finite and nonzero"),
+        ({"kappa_n": -math.inf}, "kappa_n must be finite and nonzero"),
+    ],
+)
+def test_invalid_constants_keep_their_messages(override, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PhysicalConstants(**override)

@@ -11,7 +11,8 @@ subcommand on a README example config. The pure-Python reference loop
 of perfbench/run.py is timed before every start. For each case and tree
 the script prints the median wall time over ROUNDS rounds, and that time
 in ref_s (scaled by REF_NOMINAL_S over the loop's median), the unit in
-which perfbench reports setup_s.
+which perfbench reports setup_s. One more, untimed, start per tree lists
+the modules the setup probe loads beyond those a bare interpreter holds.
 
 It also reports whether PYTHONDONTWRITEBYTECODE is set: without bytecode
 caches every start compiles each module it imports from source, so
@@ -44,6 +45,9 @@ CONFIGS = {
                   "n_samples": 8, "consistent_gaussian": False},
 }
 PROBE = "import sys\nfrom acsusy.cli import load_config\nload_config(sys.argv[1])\n"
+# the probe, printing what it added to the modules the interpreter started with
+PROBE_LOADS = ("import sys\nbare = set(sys.modules)\n" + PROBE
+               + "print(' '.join(sorted(set(sys.modules) - bare)))\n")
 
 
 def _cli(command: str, config: str | None = "cylinder.json") -> list:
@@ -72,24 +76,31 @@ def reference_loop_s() -> float:
     return time.perf_counter() - t0
 
 
-def measure(trees: list) -> tuple[dict, list]:
-    """(case, tree) -> start wall times in s, and every reference loop time."""
+def measure(trees: list) -> tuple[dict, list, dict]:
+    """(case, tree) -> start wall times in s, every reference loop time,
+    and tree -> the modules the setup probe loads."""
     times = {(name, tree): [] for name, _ in CASES for tree in trees}
     loops = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, cfg in CONFIGS.items():
             (work / name).write_text(json.dumps(cfg), encoding="utf-8")
+
+        def start(tree, args, **kwargs):
+            env = {**os.environ, "PYTHONPATH": str(tree)}
+            return subprocess.run([sys.executable, *args], cwd=work, env=env, check=True,
+                                  text=True, **kwargs)
+
+        loads = {tree: start(tree, ["-c", PROBE_LOADS, "cylinder.json"],
+                             capture_output=True).stdout.split() for tree in trees}
         for r in range(ROUNDS):
             for name, args in CASES:
                 for tree in trees if r % 2 == 0 else trees[::-1]:
-                    env = {**os.environ, "PYTHONPATH": str(tree)}
                     loops.append(reference_loop_s())
                     t0 = time.perf_counter()
-                    subprocess.run([sys.executable, *args], cwd=work, env=env, check=True,
-                                   stdout=subprocess.DEVNULL)
+                    start(tree, args, stdout=subprocess.DEVNULL)
                     times[name, tree].append(time.perf_counter() - t0)
-    return times, loops
+    return times, loops, loads
 
 
 def main(argv: list) -> int:
@@ -102,7 +113,7 @@ def main(argv: list) -> int:
     print(f"PYTHONDONTWRITEBYTECODE={flag!r}: "
           + ("no bytecode caches, every start compiles from source" if flag
              else "bytecode caches on, timings after the first start read them"))
-    times, loops = measure(trees)
+    times, loops, loads = measure(trees)
     speed = statistics.median(loops) / REF_NOMINAL_S
     print(f"python {sys.version.split()[0]}, {ROUNDS} rounds, "
           f"reference loop median {1e3 * statistics.median(loops):.2f} ms "
@@ -117,6 +128,9 @@ def main(argv: list) -> int:
         medians = [statistics.median(times[name, tree]) for tree in trees]
         row = f"{name:<18}" + "".join(f"{1e3 * m:>10.1f}{m / speed:>10.4f}" for m in medians)
         print(row + (f"{medians[1] / medians[0]:>8.3f}" if len(trees) == 2 else ""))
+    for label, tree in zip(labels, trees):
+        print(f"{label}: the setup_s probe loads {len(loads[tree])} modules beyond a bare "
+              f"interpreter: {' '.join(loads[tree])}")
     return 0
 
 
