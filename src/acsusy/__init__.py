@@ -71,13 +71,11 @@ _EXPORTS = {
         "beta_sphere",
         "coupling_eta",
         "lambda_threshold",
-        "slab_k_bound",
     ),
     "zeromode": (
         "NormReport",
         "PiecewiseRadialFunction",
         "SusyVerdict",
-        "TailBehavior",
         "cylinder_zero_mode",
         "norm_integral",
         "slab_zero_mode",

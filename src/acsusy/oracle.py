@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from ._lazy import linalg, np
 from .errors import GridTooCoarse
-from .radial import GEOM_SPHERE, RadialProblem, _smooth_potential, superpotential
+from .radial import RadialProblem, _phi_centrifugal, _smooth_potential, superpotential
 
 __all__ = [
     "GridHamiltonian",
@@ -56,7 +56,6 @@ class GridHamiltonian:
     diag: np.ndarray
     offdiag: np.ndarray
     cells: np.ndarray
-    measure_power: int
 
     def scale(self) -> float:
         """Magnitude bound used for eigenvalue tolerances."""
@@ -65,7 +64,7 @@ class GridHamiltonian:
 
 
 def _grid(p: RadialProblem, n: int, r_max: float):
-    """Checked grid of one channel: (d, h, cell centers, faces).
+    """Checked grid of one channel: (h, cell centers, faces).
 
     Face j sits between cells j and j+1, so faces[0] pairs with cell 1.
     """
@@ -73,33 +72,31 @@ def _grid(p: RadialProblem, n: int, r_max: float):
         raise ValueError("n must be at least 100")
     if not (r_max > p.r0):
         raise ValueError("r_max must exceed r0")
-    d = 2 if p.geometry == GEOM_SPHERE else 1
     h = r_max / n
     j = np.arange(1, n + 1, dtype=float)
-    return d, h, (j - 0.5) * h, j * h
+    return h, (j - 0.5) * h, j * h
 
 
 def build_grid_hamiltonian(p: RadialProblem, n: int, r_max: float) -> GridHamiltonian:
     """Assemble the conservative flux discretization.
 
     Requires n >= 100 and r_max > r0. The phi-picture potential is
-    C/r^2 plus the smooth part of V_eff, with C = l(l+1) (ball) or nu^2
-    (cylinder). Raises GridTooCoarse when the grid cannot resolve the
-    smooth part: h^2 max_j |V_phi(r_j) - C/r_j^2| > 0.1 (the singular
-    part is handled exactly by the scheme's geometry factors).
+    C/r^2 plus the smooth part of V_eff, with C = w(w + d - 1): l(l+1)
+    (ball) or nu^2 (cylinder). Raises GridTooCoarse when the grid cannot
+    resolve the smooth part: h^2 max_j |V_phi(r_j) - C/r_j^2| > 0.1 (the
+    singular part is handled exactly by the scheme's geometry factors).
     """
-    d, h, rc, ri = _grid(p, n, r_max)
+    h, rc, ri = _grid(p, n, r_max)
     smooth = _smooth_potential(p, rc)
     resolution = h * h * float(np.max(np.abs(smooth)))
     if resolution > 0.1:
         raise GridTooCoarse(
             f"h^2 max|V| = {resolution:.3g} > 0.1; increase n or shrink r_max"
         )
-    cent = float(p.l * (p.l + 1)) if p.geometry == GEOM_SPHERE else float(p.l * p.l)
-    vphi = cent / rc**2 + smooth
+    vphi = _phi_centrifugal(p) / rc**2 + smooth
 
-    rid = ri**d
-    rcd = rc**d
+    rid = ri**p.d
+    rcd = rc**p.d
     # flux through the inner face of cell j is rid[j-1]; cell 1 has zero inner flux
     inner_face = np.concatenate(([0.0], rid[:-1]))
     outer_face = rid.copy()
@@ -109,10 +106,7 @@ def build_grid_hamiltonian(p: RadialProblem, n: int, r_max: float) -> GridHamilt
     outer_face[-1] *= 2.0
     diag = (outer_face + inner_face) / (rcd * h * h) + vphi
     off = -rid[:-1] / (np.sqrt(rcd[:-1] * rcd[1:]) * h * h)
-    return GridHamiltonian(
-        problem=p, n=n, r_max=r_max, h=h, diag=diag, offdiag=off,
-        cells=rc, measure_power=d,
-    )
+    return GridHamiltonian(problem=p, n=n, r_max=r_max, h=h, diag=diag, offdiag=off, cells=rc)
 
 
 def lowest_eigenvalues(H: GridHamiltonian, m: int) -> np.ndarray:
@@ -184,10 +178,10 @@ def build_susy_pair(
     of second order in h, which susy_algebra_check reports.
     """
     p = RadialProblem(geometry=geometry, l=0, w=0, beta=beta, r0=r0)
-    d, h, rc, ri = _grid(p, n, r_max)
+    h, rc, ri = _grid(p, n, r_max)
     w_if = superpotential(p, ri)
-    rid = ri**d
-    rcd = rc**d
+    rid = ri**p.d
+    rcd = rc**p.d
     main = np.sqrt(rid / rcd) * (-1.0 / h - 0.5 * w_if)
     upper = np.sqrt(rid[:-1] / rcd[1:]) * (1.0 / h - 0.5 * w_if[:-1])
     # mirror the flux form's face-located Dirichlet wall (factor 2 on
@@ -253,7 +247,7 @@ def grid_mode_overlap(H: GridHamiltonian, profile) -> float:
     profile is the ground state.
     """
     vals = np.array([float(profile(r)) for r in H.cells])
-    weights = np.sqrt(H.cells**H.measure_power * H.h)
+    weights = np.sqrt(H.cells**H.problem.d * H.h)
     x = vals * weights
     nrm = np.linalg.norm(x)
     if nrm == 0.0:

@@ -5,10 +5,13 @@ for the ball geometry (measure r^2 dr) and u = sqrt(r) phi for the
 cylinder (measure r dr), so both obey psi'' = (V_eff - eps) psi with no
 first-derivative term.
 
-Every channel is the square of d/dr - W, with W from superpotential:
-with d = 2 (ball) or 1 (cylinder) and cent = l(l+1), respectively
-nu^2 - 1/4,
-    V_eff = cent/r^2 + W^2 + 2 w W/r + r^-d (r^d W)'.
+Every channel is a reduction of the first-order operator
+sigma.(grad - W), with radial measure r^d dr: d = 2 (ball) or 1
+(cylinder), one entry of _REDUCTION per geometry. The channel is the
+square of d/dr - W, with W from superpotential, and
+    V_eff = cent/r^2 + W^2 + 2 w W/r + r^-d (r^d W)',
+    cent = w(w + d - 1) + d(d - 2)/4,
+i.e. l(l+1) for the ball and nu^2 - 1/4 for the cylinder.
 Inside the source that is the oscillator beta^2 r^2 plus the constant
 -2 beta (w + 3/2) (ball) or +2 beta (w + 1) (cylinder). Every channel
 Hamiltonian is a square, hence nonnegative: no eps < 0 bound states
@@ -54,8 +57,9 @@ __all__ = [
     "find_spectrum",
 ]
 
-GEOM_SPHERE = "sphere"
-GEOM_CYLINDER = "cylinder"
+# geometry -> (d, sigma): the radial measure is r^d dr, and W = sigma beta r
+# inside the source (finding B's sign of W against beta)
+_REDUCTION = {"sphere": (2, -1.0), "cylinder": (1, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,8 @@ class RadialProblem:
     l is the orbital quantum number (3D) or |nu| (2D). w is the
     spin-orbit eigenvalue (3D: w = l or -(l+1)) or the signed in-plane
     angular number entering the polarization coupling (2D: w = +-l).
+    Both are the one rule |2w + d - 1| = 2l + d - 1. d, the power of
+    the radial measure r^d dr, is set from the geometry.
     """
 
     geometry: str
@@ -72,21 +78,21 @@ class RadialProblem:
     w: int
     beta: float
     r0: float
+    d: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.geometry not in (GEOM_SPHERE, GEOM_CYLINDER):
+        if self.geometry not in _REDUCTION:
             raise ValueError(f"unknown geometry {self.geometry!r}")
+        d = _REDUCTION[self.geometry][0]
+        object.__setattr__(self, "d", d)
         if not isinstance(self.l, int) or self.l < 0:
             raise InvalidChannel(f"l must be a nonnegative integer, got {self.l!r}")
         if not isinstance(self.w, int):
             raise InvalidChannel(f"w must be an integer, got {self.w!r}")
-        if self.geometry == GEOM_SPHERE and self.w not in (self.l, -(self.l + 1)):
+        if abs(2 * self.w + d - 1) != 2 * self.l + d - 1:
             raise InvalidChannel(
-                f"sphere channel needs w = l or -(l+1); got l={self.l}, w={self.w}"
-            )
-        if self.geometry == GEOM_CYLINDER and abs(self.w) != self.l:
-            raise InvalidChannel(
-                f"cylinder channel needs |w| = nu; got nu={self.l}, w={self.w}"
+                f"{self.geometry} channel needs |2w + d - 1| = 2l + d - 1 with d = {d} "
+                f"(sphere: w = l or -(l+1); cylinder: |w| = l); got l={self.l}, w={self.w}"
             )
         if not (self.r0 > 0.0 and math.isfinite(self.r0)):
             raise ValueError("r0 must be positive and finite")
@@ -95,14 +101,18 @@ class RadialProblem:
 
 
 def frobenius_exponent(p: RadialProblem) -> float:
-    """Regular-origin exponent alpha with psi ~ r^alpha."""
-    return p.l + 1.0 if p.geometry == GEOM_SPHERE else p.l + 0.5
+    """Regular-origin exponent alpha with psi ~ r^alpha: l + d/2."""
+    return p.l + p.d / 2
+
+
+def _phi_centrifugal(p: RadialProblem) -> float:
+    """Centrifugal coefficient w(w + d - 1) of the phi picture."""
+    return float(p.w * (p.w + p.d - 1))
 
 
 def _centrifugal(p: RadialProblem) -> float:
-    if p.geometry == GEOM_SPHERE:
-        return float(p.l * (p.l + 1))
-    return p.l * p.l - 0.25
+    """The psi picture's: d(d - 2)/4 more than the phi picture's."""
+    return _phi_centrifugal(p) + p.d * (p.d - 2) / 4
 
 
 def _cylinder_mu(p: RadialProblem) -> float:
@@ -113,14 +123,14 @@ def _cylinder_mu(p: RadialProblem) -> float:
 def superpotential(p: RadialProblem, r) -> np.ndarray:
     """W(r) of the channel's first-order operator d/dr - W, as an array.
 
-    Ball: -beta r inside r0, -beta r0^3/r^2 outside. Cylinder: beta r
-    inside, beta r0^2/r outside. Both are continuous at r0.
+    sigma beta r inside r0 and sigma beta r0^(d+1)/r^d outside, which is
+    continuous at r0: -beta r and -beta r0^3/r^2 for the ball, beta r
+    and beta r0^2/r for the cylinder.
     """
     rr = np.asarray(r, dtype=float)
-    b, r0 = p.beta, p.r0
-    if p.geometry == GEOM_SPHERE:
-        return np.where(rr <= r0, -b * rr, -b * r0**3 / rr**2)
-    return np.where(rr <= r0, b * rr, b * r0**2 / rr)
+    d, sigma = _REDUCTION[p.geometry]
+    b, r0 = sigma * p.beta, p.r0
+    return np.where(rr <= r0, b * rr, b * r0 ** (d + 1) / rr**d)
 
 
 def _smooth_potential(p: RadialProblem, r: np.ndarray) -> np.ndarray:
@@ -129,9 +139,8 @@ def _smooth_potential(p: RadialProblem, r: np.ndarray) -> np.ndarray:
     W is linear in r inside r0, so r^-d (r^d W)' = (d + 1) W/r there;
     outside, r^d W is constant.
     """
-    d = 2 if p.geometry == GEOM_SPHERE else 1
     w = superpotential(p, r)
-    return w * w + (2.0 * p.w + (d + 1) * (r <= p.r0)) * w / r
+    return w * w + (2.0 * p.w + (p.d + 1) * (r <= p.r0)) * w / r
 
 
 def effective_potential(p: RadialProblem, r):
@@ -323,7 +332,7 @@ def _kummer_parameters(p: RadialProblem, epsilon: float) -> tuple[float, float, 
     is exactly 0 at eps = 0 in a hosting channel.
     """
     omega = abs(p.beta)
-    if p.geometry == GEOM_SPHERE:
+    if p.geometry == "sphere":
         bpar, half_shift = p.l + 1.5, -(p.w + 1.5) / 2.0
     else:
         bpar, half_shift = p.l + 1.0, (p.w + 1.0) / 2.0
@@ -431,7 +440,7 @@ def shoot_exterior(
             f"eps = {epsilon:g} >= 0: exterior solutions oscillate; no decaying seed"
         )
     kappa = math.sqrt(-epsilon)
-    if p.geometry == GEOM_CYLINDER:
+    if p.geometry == "cylinder":
         mu = _cylinder_mu(p)
         return _state_at_r0(
             p, (0.5 - mu) / p.r0 - kappa * _bessel_k_ratio(mu, kappa * p.r0), "exterior"
@@ -461,7 +470,7 @@ def _exterior_zero_energy(p: RadialProblem) -> ShootResult:
     log-derivative takes M' from DLMF 13.3.15; at a = 0, M = 1.
     """
     r0 = p.r0
-    if p.geometry == GEOM_CYLINDER:
+    if p.geometry == "cylinder":
         return _state_at_r0(p, (0.5 - _cylinder_mu(p)) / r0, "exterior")
     s = abs(p.beta) * r0**3
     a = p.l + 1.0 - math.copysign(1.0, p.beta) * p.w
@@ -663,7 +672,7 @@ def find_spectrum(
     # state is the matched power tail itself, square-integrable in the
     # u picture exactly when its exponent is < -1/2; the sphere kernel
     # state grows like r^(l+1) outside, so no sphere channel has one.
-    if p.geometry == GEOM_CYLINDER:
+    if p.geometry == "cylinder":
         tail_exponent = 0.5 - _cylinder_mu(p)
         kernel_candidate = tail_exponent < -0.5
     else:
@@ -682,7 +691,7 @@ def find_spectrum(
             f"r^{tail_exponent:g} is square-integrable: normalizable zero mode."
         )
     elif rel < _ZERO_MODE_MATCH_TOL:
-        if p.geometry == GEOM_CYLINDER:
+        if p.geometry == "cylinder":
             reason = f"but its tail r^{tail_exponent:g} is not square-integrable"
         else:
             reason = (

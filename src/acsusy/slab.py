@@ -24,10 +24,10 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import np
-from .errors import InvalidChannel
+from .errors import InvalidChannel, NonconfiningSign
 from .fields import Slab
 from .specfun import bessel_j
-from .units import DEFAULT_CONSTANTS, PhysicalConstants, slab_k_bound
+from .units import DEFAULT_CONSTANTS, PhysicalConstants
 from .zeromode import PiecewiseRadialFunction, slab_zero_mode
 
 __all__ = [
@@ -101,11 +101,16 @@ def degeneracy_family(
     The family is a continuum (infinite degeneracy); this returns a
     uniform sample of it, never the endpoint k_max itself. The band
     edge k_max = sqrt(4 pi eta rho0) carries no L dependence.
-    NonconfiningSign propagates when the density has the wrong sign.
+    Raises NonconfiningSign when eta * rho0 <= 0: then no transverse
+    wavenumber is admissible at all (the Gaussian weight grows).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    bound = slab_k_bound(cfg.rho0, constants)
+    bound = cfg.k_bound_sq(constants)
+    if bound <= 0.0:
+        raise NonconfiningSign(
+            f"slab with eta*rho0 <= 0 admits no normalizable family (4 pi eta rho0 = {bound:.6g})"
+        )
     k_max = math.sqrt(bound)
     return [float(v) for v in np.linspace(0.0, k_max, n_samples, endpoint=False)]
 

@@ -17,13 +17,14 @@ and the Laplacian. No hbar*c conversions happen inside the package; all
 spectra and potentials stay in cm^-2.
 
 Sign conventions. The moment coupling kappa is stored as a bare number
-whose sign propagates everywhere: eta is odd in kappa, beta_sphere and
-slab_k_bound are odd in (kappa * rho0), beta_cylinder is odd in
-(kappa * rho). The default constant set uses kappa = +1.9130, the
-magnitude convention under which a positive sphere or slab charge
-density gives a confining Gaussian weight. Callers who prefer the
-signed-moment convention pass their own PhysicalConstants; every
-formula here is covariant under (kappa, rho) -> (-kappa, -rho).
+whose sign propagates everywhere: eta is odd in kappa, beta_sphere
+and the slab bound (fields.Slab.k_bound_sq) are odd in
+(kappa * rho0), beta_cylinder is odd in (kappa * rho). The default
+constant set uses kappa = +1.9130, the magnitude convention under
+which a positive sphere or slab charge density gives a confining
+Gaussian weight. Callers who prefer the signed-moment convention pass
+their own PhysicalConstants; every formula here is covariant under
+(kappa, rho) -> (-kappa, -rho).
 
 PhysicalConstants and the source geometries in fields are Frozen
 records, plain __slots__ classes rather than frozen dataclasses:
@@ -35,15 +36,12 @@ from __future__ import annotations
 
 import math
 
-from .errors import NonconfiningSign
-
 __all__ = [
     "PhysicalConstants",
     "DEFAULT_CONSTANTS",
     "coupling_eta",
     "beta_sphere",
     "beta_cylinder",
-    "slab_k_bound",
     "lambda_threshold",
 ]
 
@@ -144,22 +142,6 @@ def beta_cylinder(rho: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) 
     if not math.isfinite(rho):
         raise ValueError("rho must be finite")
     return -coupling_eta(constants) * rho / 4.0
-
-
-def slab_k_bound(rho0: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Upper bound on k^2 for normalizable slab modes: 4 pi eta rho0, cm^-2.
-
-    Raises NonconfiningSign when eta * rho0 <= 0 since then no transverse
-    wavenumber is admissible at all (the Gaussian weight grows).
-    """
-    if not math.isfinite(rho0):
-        raise ValueError("rho0 must be finite")
-    bound = 4.0 * math.pi * coupling_eta(constants) * rho0
-    if bound <= 0.0:
-        raise NonconfiningSign(
-            f"slab with eta*rho0 <= 0 admits no normalizable family (4 pi eta rho0 = {bound:.6g})"
-        )
-    return bound
 
 
 def lambda_threshold(constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:

@@ -35,7 +35,6 @@ from .fields import ChargeConfiguration, Slab
 from .units import DEFAULT_CONSTANTS, PhysicalConstants, lambda_threshold
 
 __all__ = [
-    "TailBehavior",
     "Region",
     "PiecewiseRadialFunction",
     "NormReport",
@@ -60,23 +59,6 @@ def _safe_exp(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class TailBehavior:
-    """Asymptotic form of the profile.
-
-    kind "constant": phi -> const (parameter unused, 0.0)
-    kind "power":    phi ~ r^parameter
-    kind "exponential": phi ~ exp(-parameter * r)
-    """
-
-    kind: str
-    parameter: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("constant", "power", "exponential"):
-            raise ValueError(f"unknown tail kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class Region:
     """One piece: closed-form values and the drift W = phi'/phi it obeys."""
 
@@ -90,25 +72,24 @@ class Region:
 class PiecewiseRadialFunction:
     """Ordered piecewise profile over r >= 0 (radial) or all z (slab).
 
-    measure is one of "r2dr" (3D), "rdr" (2D plane), "dz" (1D line);
-    it fixes the weight |phi|^2 integrates against. Boundary points
-    evaluate through the innermost region containing them (closed
-    source region). continuity_defects holds the relative value jump
-    at each internal boundary, in region order; the radial
-    constructors produce exact matches (defect ~ 0) while the slab
-    family is genuinely discontinuous and reports it here.
+    d is the power of the measure |phi|^2 integrates against, r^d dr:
+    2 (3D), 1 (2D plane) or 0 (the line, dz). tail_power is the q of the
+    tail phi ~ r^q: 0.0 for a constant tail, and -inf for exponential
+    decay. Boundary points evaluate through the innermost region
+    containing them (closed source region). continuity_defects holds
+    the relative value jump at each internal boundary, in region order;
+    the radial constructors produce exact matches (defect ~ 0) while
+    the slab family is genuinely discontinuous and reports it here.
     """
 
     regions: tuple[Region, ...]
     matching_constants: tuple[float, ...]
-    measure: str
-    tail: TailBehavior
+    d: int
+    tail_power: float
     params: dict = field(default_factory=dict)
     continuity_defects: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.measure not in ("r2dr", "rdr", "dz"):
-            raise ValueError(f"unknown measure {self.measure!r}")
         if not self.regions:
             raise ValueError("at least one region required")
         for a, b in zip(self.regions, self.regions[1:]):
@@ -163,8 +144,8 @@ def sphere_zero_mode(beta: float, r0: float) -> PiecewiseRadialFunction:
     return PiecewiseRadialFunction(
         regions=(interior, exterior),
         matching_constants=(_safe_exp(-beta * r0**2 / 2.0),),
-        measure="r2dr",
-        tail=TailBehavior("constant"),
+        d=2,
+        tail_power=0.0,
         params={"geometry": "sphere", "beta": beta, "r0": r0},
         continuity_defects=(_relative_jump(interior.evaluate, exterior.evaluate, r0),),
     )
@@ -200,8 +181,8 @@ def cylinder_zero_mode(beta: float, r0: float) -> PiecewiseRadialFunction:
     return PiecewiseRadialFunction(
         regions=(interior, exterior),
         matching_constants=(ratio,),
-        measure="rdr",
-        tail=TailBehavior("power", p),
+        d=1,
+        tail_power=p,
         params={"geometry": "cylinder", "beta": beta, "r0": r0},
         continuity_defects=(_relative_jump(interior.evaluate, exterior.evaluate, r0),),
     )
@@ -238,8 +219,8 @@ def slab_zero_mode(
         return PiecewiseRadialFunction(
             regions=(flat,),
             matching_constants=(),
-            measure="dz",
-            tail=TailBehavior("constant"),
+            d=0,
+            tail_power=0.0,
             params={"geometry": "slab", "k": 0.0, "L": L, "rho0": 0.0,
                     "variant": "free"},
         )
@@ -295,12 +276,11 @@ def slab_zero_mode(
         _relative_jump(lower.evaluate, mid.evaluate, -half),
         _relative_jump(mid.evaluate, upper.evaluate, half),
     )
-    tail = TailBehavior("exponential", k) if k > 0.0 else TailBehavior("constant")
     return PiecewiseRadialFunction(
         regions=regions,
         matching_constants=(mid.evaluate(half) / max(upper.evaluate(half), _TINY),),
-        measure="dz",
-        tail=tail,
+        d=0,
+        tail_power=-math.inf if k > 0.0 else 0.0,
         params={"geometry": "slab", "k": k, "L": L, "rho0": rho0, "variant": variant,
                 "k_bound_sq": bound},
         continuity_defects=defects,
@@ -316,9 +296,10 @@ def _check_radius(r0: float) -> None:
 class NormReport:
     """Outcome of norm_integral.
 
-    tail_exponent is the power-law exponent of the squared integrand
-    |phi|^2 * weight at infinity: 2p + 2 (3D), 2p + 1 (2D), 0 for a
-    constant tail in 1D, and -inf for exponential decay.
+    tail_exponent is the power-law exponent 2q + d of the squared
+    integrand |phi|^2 r^d at infinity, for a tail phi ~ r^q: 2 for the
+    sphere's constant tail, 2p + 1 for the cylinder's r^p, 0 for a
+    constant tail on the line, and -inf for exponential decay.
     verdict is Finite exactly when tail_exponent < -1. value is the
     truncated closed-form integral for Finite verdicts and inf otherwise.
     """
@@ -326,9 +307,6 @@ class NormReport:
     value: float
     tail_exponent: float
     verdict: str
-
-
-_MEASURE_POWER = {"r2dr": 2.0, "rdr": 1.0, "dz": 0.0}
 
 
 def norm_integral(f: PiecewiseRadialFunction, r_max: float) -> NormReport:
@@ -341,13 +319,7 @@ def norm_integral(f: PiecewiseRadialFunction, r_max: float) -> NormReport:
     if not (r_max > 0.0 and math.isfinite(r_max)):
         raise ValueError("r_max must be positive and finite")
 
-    dpow = _MEASURE_POWER[f.measure]
-    if f.tail.kind == "constant":
-        tail_exponent = dpow
-    elif f.tail.kind == "power":
-        tail_exponent = 2.0 * f.tail.parameter + dpow
-    else:
-        tail_exponent = -math.inf
+    tail_exponent = 2.0 * f.tail_power + f.d
     verdict = "Finite" if tail_exponent < -1.0 else "Divergent"
     if verdict == "Divergent":
         return NormReport(value=math.inf, tail_exponent=tail_exponent, verdict=verdict)

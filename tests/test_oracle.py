@@ -95,6 +95,11 @@ def test_grid_too_coarse_guard():
     with pytest.raises(GridTooCoarse):
         build_grid_hamiltonian(p, 100, 10.0)
     build_grid_hamiltonian(p, 2000, 5.0)  # fine resolution passes
+    # n = 1573 is the smallest grid with h^2 max|V| <= 0.1 at r_max = 5
+    # (0.0999 there, 0.101 at n = 1572)
+    build_grid_hamiltonian(p, 1573, 5.0)
+    with pytest.raises(GridTooCoarse, match=r"= 0\.101 > 0\.1"):
+        build_grid_hamiltonian(p, 1572, 5.0)
 
 
 def test_grid_handles_centrifugal_channels():

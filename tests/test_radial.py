@@ -46,6 +46,11 @@ def cylinder_problem(l=0, w=None, beta=-2.0, r0=1.0):
     return RadialProblem(geometry="cylinder", l=l, w=l if w is None else w, beta=beta, r0=r0)
 
 
+# the spectrum command's default (l, w) channels
+SPHERE_DEFAULTS = ((0, 0), (1, 1), (1, -2), (2, 2), (2, -3))
+CYLINDER_DEFAULTS = ((0, 0), (1, 1), (1, -1), (2, 2), (2, -2))
+
+
 # --- problem validation -------------------------------------------------
 
 def test_channel_validation():
@@ -59,20 +64,36 @@ def test_channel_validation():
         RadialProblem(geometry="sphere", l=0, w=0, beta=1.0, r0=-1.0)
     with pytest.raises(ValueError):
         RadialProblem(geometry="moebius", l=0, w=0, beta=1.0, r0=1.0)
+    # the one rule |2w + d - 1| = 2l + d - 1 admits exactly the Dirac
+    # channels w = l, -(l+1) of the ball and w = +-nu of the cylinder
+    allowed = {"sphere": lambda l, w: w in (l, -(l + 1)), "cylinder": lambda l, w: abs(w) == l}
+    for geometry, l, w in itertools.product(allowed, range(5), range(-6, 7)):
+        if allowed[geometry](l, w):
+            assert RadialProblem(geometry=geometry, l=l, w=w, beta=1.0, r0=1.0).w == w
+        else:
+            with pytest.raises(InvalidChannel):
+                RadialProblem(geometry=geometry, l=l, w=w, beta=1.0, r0=1.0)
 
 
 def test_frobenius_exponents():
-    assert frobenius_exponent(sphere_problem(l=2)) == pytest.approx(3.0)
-    assert frobenius_exponent(cylinder_problem(l=2)) == pytest.approx(2.5)
+    # psi ~ r^(l+1) in r^2 dr, r^(nu+1/2) in r dr
+    for l in range(4):
+        for w in {l, -(l + 1)}:
+            assert frobenius_exponent(sphere_problem(l=l, w=w)) == l + 1.0
+        for w in {l, -l}:
+            assert frobenius_exponent(cylinder_problem(l=l, w=w)) == l + 0.5
 
 
 # --- effective potentials ------------------------------------------------
 
 def test_sphere_potential_piecewise_values():
     # interior constant -2 beta (w + 3/2), by hand: the aligned channel
-    # is attractive for beta > 0
+    # is attractive for beta > 0; then every default channel at both signs
     r0, r_in, r_out = 1.5, 0.5, 3.0
-    for l, w, beta, shift in ((1, 1, 2.0, -10.0), (1, -2, 2.0, 2.0)):
+    cases = [(1, 1, 2.0, -10.0), (1, -2, 2.0, 2.0)]
+    for (l, w), beta in itertools.product(SPHERE_DEFAULTS, (2.0, -2.0)):
+        cases.append((l, w, beta, -2.0 * beta * (w + 1.5)))
+    for l, w, beta, shift in cases:
         p = sphere_problem(l=l, w=w, beta=beta, r0=r0)
         cent = l * (l + 1)
         want_in = cent / r_in**2 + shift + beta**2 * r_in**2
@@ -88,7 +109,9 @@ def test_sphere_potential_piecewise_values():
 def test_cylinder_potential_piecewise_values():
     # interior constant +2 beta (w + 1), by hand; it vanishes at w = -1
     r_in, r_out = 0.25, 4.0
-    cases = ((1, -1, -2.0, 0.0), (0, 0, -3.0, -6.0), (1, -1, -3.0, 0.0), (1, 1, -2.0, -8.0))
+    cases = [(1, -1, -2.0, 0.0), (0, 0, -3.0, -6.0), (1, -1, -3.0, 0.0), (1, 1, -2.0, -8.0)]
+    for (l, w), beta in itertools.product(CYLINDER_DEFAULTS, (-2.0, 2.0)):
+        cases.append((l, w, beta, 2.0 * beta * (w + 1)))
     for l, w, beta, shift in cases:
         p = cylinder_problem(l=l, w=w, beta=beta, r0=1.0)
         cent = l * l - 0.25
@@ -470,6 +493,16 @@ def test_sphere_spectrum_is_empty_everywhere_sampled():
         assert rep.bound_states == ()
         assert rep.zero_mode is None
         assert "NoBoundStates" in rep.classification_notes
+
+
+def test_zero_mode_match_tolerance_splits_sphere_margins():
+    # the eps = 0 gap of sphere (0, 0) is 3.8e-4 at beta r0^2 = 4 and
+    # 1.2e-7 at 8; the match tolerance 1e-6 lies between them
+    far = find_spectrum(sphere_problem(l=0, beta=4.0), n_grid=2).classification_notes
+    assert "does not match the bounded exterior solution" in far
+    near = find_spectrum(sphere_problem(l=0, beta=8.0), n_grid=2).classification_notes
+    assert "endpoint matches the bounded exterior solution" in near
+    assert near.endswith("no zero mode.")
 
 
 def test_unbroken_cylinder_reports_zero_mode():

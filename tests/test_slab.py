@@ -9,7 +9,6 @@ from acsusy.errors import InadmissibleK, InvalidChannel, NonconfiningSign
 from acsusy.fields import Slab
 from acsusy.slab import build_slab_solution, degeneracy_family, slab_residual
 from acsusy.specfun import bessel_j
-from acsusy.units import slab_k_bound
 
 RHO = 2.0e6  # esu/cm^3
 
@@ -19,7 +18,7 @@ def slab_cfg(L=1.0, rho0=RHO):
 
 
 def k_edge(rho0=RHO):
-    return math.sqrt(slab_k_bound(rho0))
+    return math.sqrt(slab_cfg(rho0=rho0).k_bound_sq())
 
 
 def test_ground_family_planar_wavenumber_equals_k():

@@ -10,11 +10,12 @@ from acsusy import (
     DEFAULT_CONSTANTS,
     NonconfiningSign,
     PhysicalConstants,
+    Slab,
     beta_cylinder,
     beta_sphere,
     coupling_eta,
+    degeneracy_family,
     lambda_threshold,
-    slab_k_bound,
 )
 
 
@@ -47,7 +48,7 @@ def test_eta_scales_linearly_in_each_constant():
 
 def test_sphere_coupling_is_third_of_slab_bound():
     rho0 = 7.3e5
-    assert beta_sphere(rho0) == pytest.approx(slab_k_bound(rho0) / 3.0, rel=1e-14)
+    assert beta_sphere(rho0) == pytest.approx(Slab(rho0, 1.0).k_bound_sq() / 3.0, rel=1e-14)
 
 
 def test_cylinder_coupling_sign_and_magnitude():
@@ -73,10 +74,12 @@ def test_threshold_value_with_frozen_constants():
 
 
 def test_slab_bound_rejects_nonconfining_density():
-    with pytest.raises(NonconfiningSign):
-        slab_k_bound(0.0)
-    with pytest.raises(NonconfiningSign):
-        slab_k_bound(-1.0e6)
+    # the text `acsusy slab` prints for a density of the wrong sign
+    text = "slab with eta*rho0 <= 0 admits no normalizable family (4 pi eta rho0 = {})"
+    with pytest.raises(NonconfiningSign, match=f"^{re.escape(text.format('0'))}$"):
+        degeneracy_family(Slab(0.0, 1.0))
+    with pytest.raises(NonconfiningSign, match=f"^{re.escape(text.format('-7.67065'))}$"):
+        degeneracy_family(Slab(-1.0e6, 1.0))
 
 
 def test_constants_validation():

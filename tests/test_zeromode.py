@@ -81,8 +81,8 @@ def test_cylinder_mode_is_c1_at_surface():
 def test_cylinder_tail_exponent_and_norm_value():
     # beta r0^2 = -3: interior (1 - e^{-3})/6, exterior e^{-3}/4 under r dr
     f = cylinder_zero_mode(-3.0, 1.0)
-    assert f.tail.kind == "power"
-    assert f.tail.parameter == pytest.approx(-3.0)
+    assert f.d == 1
+    assert f.tail_power == pytest.approx(-3.0)
     rep = norm_integral(f, 200.0)
     want = (1 - math.exp(-3.0)) / 6.0 + math.exp(-3.0) / 4.0
     assert rep.verdict == "Finite"
@@ -93,6 +93,25 @@ def test_cylinder_norm_threshold_at_tail_exponent():
     # tail r^{2p+1}: finite iff 2p + 1 < -1 iff p < -1
     assert norm_integral(cylinder_zero_mode(-1.2, 1.0), 100.0).verdict == "Finite"
     assert norm_integral(cylinder_zero_mode(-0.8, 1.0), 100.0).verdict == "Divergent"
+
+
+def test_tail_exponent_is_2q_plus_d_for_every_profile_kind():
+    # |phi|^2 r^d ~ r^(2q + d) for a tail phi ~ r^q: the sphere's constant
+    # tail in r^2 dr, the cylinder's r^p in r dr, the slab's exponential
+    # and the free slab's constant on the line
+    eta = coupling_eta(DEFAULT_CONSTANTS)
+    k = 0.5 * math.sqrt(4.0 * math.pi * eta * 2.0e6)
+    cases = [
+        (sphere_zero_mode(0.7, 1.0), 2.0, "Divergent"),
+        (cylinder_zero_mode(-3.0, 1.0), 2 * -3.0 + 1, "Finite"),
+        (cylinder_zero_mode(-0.8, 1.0), 2 * -0.8 + 1, "Divergent"),
+        (slab_zero_mode(k, 2.0e6, 1.0), -math.inf, "Finite"),
+        (slab_zero_mode(0.0, 0.0, 1.0), 0.0, "Divergent"),
+    ]
+    for f, exponent, verdict in cases:
+        rep = norm_integral(f, 20.0)
+        assert rep.tail_exponent == exponent, f.params
+        assert rep.verdict == verdict, f.params
 
 
 def test_truncated_norms_match_mpmath_quadrature():
@@ -109,7 +128,7 @@ def test_truncated_norms_match_mpmath_quadrature():
     for f, r_max, weight in cases:
         total = 0.0
         for reg in f.regions:
-            lo = max(reg.lo, -r_max if f.measure == "dz" else 0.0)
+            lo = max(reg.lo, -r_max if f.d == 0 else 0.0)
             hi = min(reg.hi, r_max)
             with mpmath.workdps(20):
                 total += mpmath.quad(lambda x: reg.evaluate(float(x)) ** 2 * weight(float(x)),
