@@ -8,9 +8,10 @@ then cached on the proxy.
 
 The package's own layers (radial, oracle, zeromode, slab, specfun) load
 on first use too: ``acsusy`` and ``acsusy.cli`` name them through a
-module ``__getattr__`` (PEP 562) built by ``load_on_first_use``, so
-importing either and reading a config compiles only cli, fields, units
-and errors.
+module ``__getattr__`` (PEP 562) built by ``load_on_first_use`` from the
+package's one export table, ``acsusy._EXPORTS`` (``cli`` takes the
+entries of those five layers), so importing either and reading a config
+compiles only cli, fields, units and errors.
 """
 
 from __future__ import annotations
@@ -55,3 +56,4 @@ def load_on_first_use(namespace: dict, homes: dict):
 np = LazyModule("numpy")
 special = LazyModule("scipy.special")
 linalg = LazyModule("scipy.linalg")
+optimize = LazyModule("scipy.optimize")

@@ -1,6 +1,7 @@
 """Command-line front door: config in, tables plus JSON/CSV out.
 
-Subcommands:
+Subcommands, in the order of _COMMANDS, the one table that build_parser
+reads (each command's function, help text and check flag):
     constants        derived couplings for a geometry, with units
     zero-mode        closed-form ground profile, CSV export, verdict
     susy-status      Broken/Unbroken verdict only
@@ -9,10 +10,14 @@ Subcommands:
     verify           independent grid checks for the configured setup
     reproduce-paper  computed vs published reference numbers
 
-Configuration is a JSON object; the schema is validated before any
-work runs and unknown keys are rejected with the full key path. Every
-command is deterministic for a fixed config; JSON outputs carry a
-"generated_at" stamp unless --no-timestamp is set.
+main is the one command path. It reads the JSON config and validates
+its schema before any work runs (unknown keys are rejected with the full
+key path), builds the constants and, for every command but
+reproduce-paper, the geometry, creates the output directory, and calls
+func(args, raw, constants, cfg). A typed AcsusyError or an OSError
+prints "error: ..." and exits 2. Every command is deterministic for a
+fixed config; JSON outputs carry a "generated_at" stamp unless
+--no-timestamp is set.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import math
 import sys
 from pathlib import Path
 
+from . import _EXPORTS
 from ._lazy import load_on_first_use, np
 from .errors import (
     AcsusyError,
@@ -34,26 +40,13 @@ from .errors import (
 from .fields import GEOMETRIES, Slab, divergence_check
 from .units import DEFAULT_CONSTANTS, PhysicalConstants, coupling_eta, lambda_threshold
 
-# layer module -> the names the commands call from it. Each module loads
-# when a command first reads one of its names, so reading a config loads
-# none of them.
-_LAYER_NAMES = {
-    "oracle": (
-        "build_grid_hamiltonian",
-        "build_susy_pair",
-        "grid_mode_overlap",
-        "lowest_eigenvalues",
-        "richardson_pair",
-        "susy_algebra_check",
-    ),
-    "radial": ("RadialProblem", "find_spectrum"),
-    "slab": ("build_slab_solution", "degeneracy_family", "slab_residual"),
-    "specfun": ("spin_orbit_eigenvalue",),
-    "zeromode": ("cylinder_zero_mode", "slab_zero_mode", "sphere_zero_mode", "susy_status"),
-}
-__getattr__ = load_on_first_use(
-    globals(), {name: home for home, names in _LAYER_NAMES.items() for name in names}
-)
+# each layer module loads when a command first reads one of the names
+# the package exports from it, so reading a config loads none of them
+__getattr__ = load_on_first_use(globals(), {
+    name: home
+    for home in ("oracle", "radial", "slab", "specfun", "zeromode")
+    for name in _EXPORTS[home]
+})
 
 
 class _Layers:
@@ -247,26 +240,22 @@ def _geometry_from(raw: dict):
     return cls(float(geo["rho"]), float(geo[cls.size_name]))
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
+def _write_csv(args, name: str, header: list, rows: list) -> None:
+    path = Path(args.out) / name
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {path}")
 
 
-def _write_json(path: Path, payload: dict, args) -> None:
+def _write_json(args, name: str, payload: dict) -> None:
+    path = Path(args.out) / name
     body = dict(payload)
     if not args.no_timestamp:
         from datetime import datetime, timezone
@@ -279,10 +268,7 @@ def _geometry_payload(cfg) -> dict:
     return {"kind": cfg.kind, "rho_esu_cm3": cfg.density, f"{cfg.size_name}_cm": cfg.size}
 
 
-def cmd_constants(args) -> int:
-    raw = load_config(args.config)
-    constants = _constants_from(raw)
-    cfg = _geometry_from(raw)
+def cmd_constants(args, raw, constants, cfg) -> int:
     eta = coupling_eta(constants)
     lam = lambda_threshold(constants)
     print(f"eta = {eta:.6g} cm/esu")
@@ -308,7 +294,7 @@ def cmd_constants(args) -> int:
     if cfg.kind == "cylinder":
         print(f"line density = {cfg.line_density:.6g} esu/cm (threshold {lam:.6g} esu/cm)")
         payload["line_density_esu_per_cm"] = cfg.line_density
-    _write_json(_out_dir(args) / "constants.json", payload, args)
+    _write_json(args, "constants.json", payload)
     return 0
 
 
@@ -319,10 +305,7 @@ def _verdict_lines(verdict) -> None:
     print(f"squared norm: {'divergent' if math.isinf(norm) else format(norm, '.6g')}")
 
 
-def cmd_susy_status(args) -> int:
-    raw = load_config(args.config)
-    constants = _constants_from(raw)
-    cfg = _geometry_from(raw)
+def cmd_susy_status(args, raw, constants, cfg) -> int:
     verdict = _layers.susy_status(cfg, constants)
     _verdict_lines(verdict)
     payload = {
@@ -332,7 +315,7 @@ def cmd_susy_status(args) -> int:
         "threshold_data": verdict.threshold_data,
         "geometry": _geometry_payload(cfg),
     }
-    _write_json(_out_dir(args) / "susy_status.json", payload, args)
+    _write_json(args, "susy_status.json", payload)
     return 0
 
 
@@ -353,13 +336,9 @@ def _zero_mode_profile(cfg, constants, raw, verdict):
     )
 
 
-def cmd_zero_mode(args) -> int:
-    raw = load_config(args.config)
-    constants = _constants_from(raw)
-    cfg = _geometry_from(raw)
+def cmd_zero_mode(args, raw, constants, cfg) -> int:
     verdict = _layers.susy_status(cfg, constants)
     _verdict_lines(verdict)
-    out = _out_dir(args)
     try:
         profile = _zero_mode_profile(cfg, constants, raw, verdict)
     except (NonconfiningSign, InadmissibleK) as exc:
@@ -372,27 +351,24 @@ def cmd_zero_mode(args) -> int:
         coords = np.linspace(0.0, 5.0 * cfg.r0, 401)[1:]
         header = ["r_cm", "value", "drift_cm1"]
     rows = [(float(x), profile(float(x)), profile.drift_at(float(x))) for x in coords]
-    _write_csv(out / f"zero_mode_{cfg.kind}.csv", header, rows)
+    _write_csv(args, f"zero_mode_{cfg.kind}.csv", header, rows)
     if profile.continuity_defects:
         worst = max(profile.continuity_defects)
         print(f"max relative value jump across interfaces: {worst:.3g}")
     return 0
 
 
-def _default_channels(kind: str) -> list[tuple[int, int]]:
-    if kind == "sphere":
-        pairs = []
-        for l in range(3):
-            pairs.append((l, l))
-            if l > 0:
-                pairs.append((l, -(l + 1)))
-        return pairs
-    return [(0, 0), (1, 1), (1, -1), (2, 2), (2, -2)]
+# the (l, w) channels spectrum scans when the config lists none: l = 0,
+# 1, 2 with both spin-orbit partners of each l > 0
+_DEFAULT_CHANNELS = {
+    "sphere": [(0, 0), (1, 1), (1, -2), (2, 2), (2, -3)],
+    "cylinder": [(0, 0), (1, 1), (1, -1), (2, 2), (2, -2)],
+}
 
 
 def _channels_from(raw: dict, kind: str) -> list[tuple[int, int]]:
     if "channels" not in raw:
-        return _default_channels(kind)
+        return _DEFAULT_CHANNELS[kind]
     pairs = []
     for i, entry in enumerate(raw["channels"]):
         if "nu" in entry:
@@ -412,13 +388,9 @@ def _channels_from(raw: dict, kind: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def cmd_spectrum(args) -> int:
-    raw = load_config(args.config)
-    constants = _constants_from(raw)
-    cfg = _geometry_from(raw)
+def cmd_spectrum(args, raw, constants, cfg) -> int:
     if cfg.kind == "slab":
         raise ConfigError("spectrum supports sphere and cylinder geometries only")
-    out = _out_dir(args)
     kind, beta = cfg.kind, cfg.beta(constants)
     n_grid = int(raw.get("n_grid", 400))
     rtol = float(raw.get("rtol", 1.0e-10))
@@ -456,24 +428,21 @@ def cmd_spectrum(args) -> int:
                 line += f" | oracle lowest epsilon = {oracle_eps:.6g} cm^-2"
         print(line)
         print(f"  note: {report.classification_notes}")
-        _write_json(out / f"spectrum_{kind}_l{l}_w{w}.json", payload, args)
+        _write_json(args, f"spectrum_{kind}_l{l}_w{w}.json", payload)
         combined_rows.extend(report.csv_rows())
 
     _write_csv(
-        out / f"spectrum_{kind}.csv",
+        args,
+        f"spectrum_{kind}.csv",
         ["l", "w", "epsilon_cm2", "node_count", "match_residual", "kind"],
         combined_rows,
     )
     return 0
 
 
-def cmd_slab(args) -> int:
-    raw = load_config(args.config)
-    constants = _constants_from(raw)
-    cfg = _geometry_from(raw)
+def cmd_slab(args, raw, constants, cfg) -> int:
     if cfg.kind != "slab":
         raise ConfigError("the slab command needs geometry.kind = 'slab'")
-    out = _out_dir(args)
     n_samples = int(raw.get("n_samples", 8))
     family = _layers.degeneracy_family(cfg, constants, n_samples)
     # degeneracy_family refused every Broken slab, so the verdict holds a family
@@ -503,17 +472,10 @@ def cmd_slab(args) -> int:
         f"relative leftover interior {residuals['interior']:.3g}, "
         f"exterior {residuals['exterior']:.3g}"
     )
-    _write_csv(
-        out / "slab_z_profile.csv",
-        ["z_cm", "value"],
-        sol.tabulate_z(401, 3.0 * cfg.L),
-    )
+    _write_csv(args, "slab_z_profile.csv", ["z_cm", "value"], sol.tabulate_z(401, 3.0 * cfg.L))
     r_span = 12.0 / k_rep if k_rep > 0.0 else 10.0 * cfg.L
-    _write_csv(
-        out / "slab_radial_profile.csv",
-        ["r_cm", "value"],
-        sol.tabulate_radial(401, r_span),
-    )
+    _write_csv(args, "slab_radial_profile.csv", ["r_cm", "value"],
+               sol.tabulate_radial(401, r_span))
     payload = {
         "geometry": _geometry_payload(cfg),
         "k_max_cm1": k_max,
@@ -521,7 +483,7 @@ def cmd_slab(args) -> int:
         "representative": {"nu": nu, "k_cm1": k_rep},
         "residuals": residuals,
     }
-    _write_json(out / "slab.json", payload, args)
+    _write_json(args, "slab.json", payload)
     return 0
 
 
@@ -539,11 +501,7 @@ def _field_check(cfg, strict: bool) -> float:
     return worst
 
 
-def cmd_verify(args) -> int:
-    raw = load_config(args.config)
-    constants = _constants_from(raw)
-    cfg = _geometry_from(raw)
-    out = _out_dir(args)
+def cmd_verify(args, raw, constants, cfg) -> int:
     payload: dict = {"geometry": _geometry_payload(cfg)}
 
     gauss = _field_check(cfg, args.strict_gauss)
@@ -562,7 +520,7 @@ def cmd_verify(args) -> int:
             f"exterior {residuals['exterior']:.3g}"
         )
         payload["slab_residuals"] = residuals
-        _write_json(out / "verify.json", payload, args)
+        _write_json(args, "verify.json", payload)
         return 0
 
     beta = cfg.beta(constants)
@@ -593,13 +551,11 @@ def cmd_verify(args) -> int:
         print(f"grid ground state vs closed-form zero mode: overlap = {overlap:.6f}")
         payload["zero_mode_overlap"] = overlap
 
-    _write_json(out / "verify.json", payload, args)
+    _write_json(args, "verify.json", payload)
     return 0
 
 
-def cmd_reproduce_paper(args) -> int:
-    raw = load_config(args.config)
-    constants = _constants_from(raw)
+def cmd_reproduce_paper(args, raw, constants, cfg) -> int:
     rho_ref = REFERENCE_SLAB_DENSITY
     computed_bound = Slab(rho_ref, 1.0).k_bound_sq(constants)  # any thickness
     computed_lambda = lambda_threshold(constants)
@@ -637,8 +593,29 @@ def cmd_reproduce_paper(args) -> int:
             for name, comp, pub, fl in rows
         ]
     }
-    _write_json(_out_dir(args) / "reproduce_paper.json", payload, args)
+    _write_json(args, "reproduce_paper.json", payload)
     return 0
+
+
+# subcommand -> (function, help text, its check flag and that flag's help
+# or None), in the order --help lists them
+_COMMANDS = {
+    "constants": (cmd_constants, "derived couplings with units", None),
+    "zero-mode": (cmd_zero_mode, "ground profile, CSV, verdict", None),
+    "susy-status": (cmd_susy_status, "Broken/Unbroken verdict", None),
+    "spectrum": (
+        cmd_spectrum,
+        "bound-state scan per channel",
+        ("--verify", "add independent grid cross-checks"),
+    ),
+    "slab": (cmd_slab, "degeneracy family and profiles", None),
+    "verify": (
+        cmd_verify,
+        "independent grid checks",
+        ("--strict-gauss", "use Gauss-law field normalizations instead of the as-displayed ones"),
+    ),
+    "reproduce-paper": (cmd_reproduce_paper, "computed vs published values", None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -657,32 +634,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Supersymmetry analysis of a neutral magnetic moment in charged sources",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("constants", parents=[shared], help="derived couplings with units").set_defaults(func=cmd_constants)
-    sub.add_parser("zero-mode", parents=[shared], help="ground profile, CSV, verdict").set_defaults(func=cmd_zero_mode)
-    sub.add_parser("susy-status", parents=[shared], help="Broken/Unbroken verdict").set_defaults(func=cmd_susy_status)
-    spectrum = sub.add_parser("spectrum", parents=[shared], help="bound-state scan per channel")
-    spectrum.add_argument("--verify", action="store_true", help="add independent grid cross-checks")
-    spectrum.set_defaults(func=cmd_spectrum)
-    sub.add_parser("slab", parents=[shared], help="degeneracy family and profiles").set_defaults(func=cmd_slab)
-    verify = sub.add_parser("verify", parents=[shared], help="independent grid checks")
-    verify.add_argument(
-        "--strict-gauss",
-        action="store_true",
-        help="use Gauss-law field normalizations instead of the as-displayed ones",
-    )
-    verify.set_defaults(func=cmd_verify)
-    sub.add_parser("reproduce-paper", parents=[shared], help="computed vs published values").set_defaults(func=cmd_reproduce_paper)
+    for name, (func, text, flag) in _COMMANDS.items():
+        command = sub.add_parser(name, parents=[shared], help=text)
+        if flag is not None:
+            command.add_argument(flag[0], action="store_true", help=flag[1])
+        command.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except AcsusyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        raw = load_config(args.config)
+        constants = _constants_from(raw)
+        cfg = None if args.command == "reproduce-paper" else _geometry_from(raw)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        return args.func(args, raw, constants, cfg)
+    except (AcsusyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
-from ._lazy import np, special
+from ._lazy import np, optimize, special
 from .errors import InvalidChannel, NoDecaySeed, Overflow, RangeExceeded
 from .specfun import kummer_1f1
 
@@ -570,36 +570,8 @@ def _scan_sign_changes(fvals: list[float]) -> list[int]:
     return hits
 
 
-def _bisect_refine(
-    fun: Callable[[float], float],
-    lo: float,
-    hi: float,
-    f_lo: float,
-    f_hi: float,
-    max_iter: int = 200,
-) -> tuple[float, float]:
-    """Bisection with a final secant polish; returns (root, f(root))."""
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f_mid = fun(mid)
-        if f_mid == 0.0:
-            return mid, 0.0
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    if f_hi != f_lo:
-        root = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        if not (min(lo, hi) <= root <= max(lo, hi)):
-            root = 0.5 * (lo + hi)
-    else:
-        root = 0.5 * (lo + hi)
-    return root, fun(root)
-
-
 _ZERO_MODE_MATCH_TOL = 1.0e-6
+_ROOT_RTOL = 4.0 * 2.0**-52  # the tightest rtol brentq accepts
 
 
 def _auto_epsilon_lo(p: RadialProblem) -> float:
@@ -626,8 +598,8 @@ def find_spectrum(
 
     The grid runs log-spaced in |eps| from |epsilon_lo| to
     1e-6 |epsilon_lo|, so shallow states near the threshold are
-    resolved; its points are Python floats. Bracketed sign changes are
-    refined by bisection plus a secant polish. The endpoint eps = 0 is
+    resolved; its points are Python floats. Each bracketed sign change
+    is refined by scipy's brentq to about 4 ulp. The endpoint eps = 0 is
     checked separately against the bounded zero-energy exterior
     solution, in closed form for both geometries (a power law for the
     cylinder, a Kummer function of 1/r for the sphere), and reported as
@@ -657,7 +629,10 @@ def find_spectrum(
     fvals = [mismatch(e) for e in grid]
     states = []
     for i in _scan_sign_changes(fvals):
-        root, _ = _bisect_refine(mismatch, grid[i], grid[i + 1], fvals[i], fvals[i + 1])
+        # brentq's default xtol (2e-12 absolute) is coarse beside a small
+        # |eps|; grid[i + 1] is the bracket end nearer eps = 0
+        xtol = -_ROOT_RTOL * grid[i + 1]
+        root = optimize.brentq(mismatch, grid[i], grid[i + 1], xtol=xtol, rtol=_ROOT_RTOL)
         li = shoot_interior(p, root).log_derivative
         le = shoot_exterior(p, root, rtol=rtol).log_derivative
         states.append(BoundState(epsilon=root, node_count=0, match_residual=abs(li - le)))

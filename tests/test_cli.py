@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from datetime import datetime, timedelta
@@ -254,6 +255,25 @@ def test_spectrum_single_channel_with_oracle(tmp_path, capsys):
     assert csv_lines[-1].endswith("zero_mode")
 
 
+@pytest.mark.parametrize("payload,channels", [
+    (SPHERE, [(0, 0), (1, 1), (1, -2), (2, 2), (2, -3)]),
+    (CYLINDER, [(0, 0), (1, 1), (1, -1), (2, 2), (2, -2)]),
+], ids=["sphere", "cylinder"])
+def test_spectrum_scans_the_default_channels_when_the_config_lists_none(
+    tmp_path, capsys, payload, channels
+):
+    kind = payload["geometry"]["kind"]
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, dict(payload, n_grid=8))
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    assert {f.name for f in out.iterdir()} == {
+        f"spectrum_{kind}_l{l}_w{w}.json" for l, w in channels
+    } | {f"spectrum_{kind}.csv"}
+    scanned = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+               if line.startswith(kind)]
+    assert scanned == [f"{kind} l={l} w={w:+d}" for l, w in channels]
+
+
 def test_rejected_constants_override_is_a_config_error(tmp_path, capsys):
     # the schema accepts any finite number; PhysicalConstants refuses it
     cfg = dict(SPHERE, constants={"m_c2_erg": -1.0})
@@ -442,6 +462,30 @@ def test_every_subcommand_on_every_geometry(tmp_path, capsys, command, kind, var
             assert data["oracle"]["r_max_cm"] == {"sphere": 10.0, "cylinder": 20.0}[kind]
         else:
             assert data["geometry"]["kind"] == kind
+
+
+# the subcommands acsusy --help lists, in its order, with their help strings
+SUBCOMMAND_HELP = [
+    ("constants", "derived couplings with units"),
+    ("zero-mode", "ground profile, CSV, verdict"),
+    ("susy-status", "Broken/Unbroken verdict"),
+    ("spectrum", "bound-state scan per channel"),
+    ("slab", "degeneracy family and profiles"),
+    ("verify", "independent grid checks"),
+    ("reproduce-paper", "computed vs published values"),
+]
+
+
+def test_help_lists_every_subcommand_in_order_with_its_help(capsys, monkeypatch):
+    # each entry is a 4-space indented name, then its help on the same
+    # line or, where argparse wraps it, on the next one
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    entries = re.findall(r"^    (\S+)\s+(.+)$", capsys.readouterr().out, re.MULTILINE)
+    assert entries == SUBCOMMAND_HELP
+    assert sorted(ARTIFACTS) == sorted(name for name, _ in SUBCOMMAND_HELP)
 
 
 @pytest.mark.parametrize("flag,owner", [("--verify", "spectrum"), ("--strict-gauss", "verify")])

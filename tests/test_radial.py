@@ -32,7 +32,6 @@ from acsusy.radial import (
     BoundState,
     SpectrumReport,
     _auto_epsilon_lo,
-    _bisect_refine,
     _exterior_zero_energy,
     _scan_sign_changes,
 )
@@ -461,13 +460,6 @@ def test_scan_sign_changes_on_tabulated_cosine():
     hits = _scan_sign_changes(np.cos(xs).tolist())
     # cos has roots at pi/2, 3pi/2, 5pi/2 within [0, 10]: three sign flips
     assert len(hits) == 3
-
-
-def test_bisect_refine_finds_sqrt2():
-    f = lambda x: x * x - 2.0
-    root, fval = _bisect_refine(f, 1.0, 2.0, f(1.0), f(2.0))
-    assert root == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert abs(fval) < 1e-10
 
 
 # --- spectra ---------------------------------------------------------------

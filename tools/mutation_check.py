@@ -94,6 +94,21 @@ MUTANTS = [
      "tail_exponent = 2.0 * f.tail_power + f.d + 1",
      "norm tail exponent 2q + d -> 2q + d + 1",
      ("test_zeromode.py",)),
+    ("radial.py",
+     "root = optimize.brentq(mismatch, grid[i], grid[i + 1], xtol=xtol, rtol=_ROOT_RTOL)",
+     "root = grid[i]",
+     "bracketed root left unrefined (find_spectrum)",
+     ("test_radial.py",)),
+    ("cli.py",
+     "(1, -2), (2, 2), (2, -3)]",
+     "(1, -2), (2, 2)]",
+     "sphere default channel (2, -3) dropped",
+     ("test_cli.py",)),
+    ("cli.py",
+     'cfg = None if args.command == "reproduce-paper" else _geometry_from(raw)',
+     "cfg = _geometry_from(raw)",
+     "reproduce-paper requires a geometry too",
+     ("test_cli.py",)),
 ]
 
 
