@@ -29,7 +29,9 @@ eps = 0 is r^-l e^{-s/r} M(a, 2l+2, 2s/r) (Whittaker's equation in
 1/r). Only the sphere exterior at eps < 0, with its 1/r^3 and 1/r^4
 tails, is integrated: adaptive DOP853 on the Riccati equation for the
 log-derivative psi'/psi, which stays smooth where psi itself changes by
-e^{|beta| r0^2}.
+e^{|beta| r0^2}. The sphere scan reads the sign of each grid point from
+an integration at a coarse tolerance, and integrates at the caller's
+rtol only near a zero of the mismatch and to refine a root.
 
 Energies and potentials are cm^-2 throughout.
 """
@@ -572,6 +574,13 @@ def _scan_sign_changes(fvals: list[float]) -> list[int]:
 
 _ZERO_MODE_MATCH_TOL = 1.0e-6
 _ROOT_RTOL = 4.0 * 2.0**-52  # the tightest rtol brentq accepts
+# The sphere scan reads a grid point's sign, that of li - le, from an
+# exterior le integrated at _SCAN_RTOL, and integrates it again at rtol
+# only when |li - le| < _SIGN_GUARD (|le| + 1/r0). At _SCAN_RTOL le errs
+# by less than 2e-6 (|le| + 1/r0) over the CLI's range, so outside that
+# band the coarse sign is the rtol one
+_SCAN_RTOL = 1.0e-8
+_SIGN_GUARD = 1.0e-3
 
 
 def _auto_epsilon_lo(p: RadialProblem) -> float:
@@ -607,8 +616,13 @@ def find_spectrum(
     is a square-integrable kernel state of the first-order operator;
     that combination occurs for cylinders below the coupling threshold
     and never for spheres. Only the sphere's eps < 0 exterior is
-    integrated (DOP853 on the log-derivative, see _integrate), and rtol
-    sets that integration only.
+    integrated (DOP853 on the log-derivative, see _integrate). The scan
+    needs only each grid point's sign, so a sphere point is integrated at
+    max(rtol, 1e-8) first, and again at rtol only when the interior and
+    exterior log-derivatives agree to within 1e-3 (|L| + 1/r0), L the
+    exterior one, or when the first pass overflows. rtol thus sets the
+    integration of those guard-band points and of every brentq
+    refinement; the cylinder exterior is closed form and ignores it.
     """
     if epsilon_lo is None:
         epsilon_lo = _auto_epsilon_lo(p)
@@ -626,7 +640,22 @@ def find_spectrum(
         le = shoot_exterior(p, eps, rtol=rtol).log_derivative
         return _wronskian_mismatch(li, le, p.r0)
 
-    fvals = [mismatch(e) for e in grid]
+    # the cylinder exterior is closed form and ignores rtol
+    coarse = max(rtol, _SCAN_RTOL)
+    one_pass = p.geometry == "cylinder" or coarse == rtol
+
+    def scan_point(eps: float) -> float:
+        li = shoot_interior(p, eps).log_derivative
+        try:
+            le = shoot_exterior(p, eps, rtol=coarse).log_derivative
+            if abs(li - le) >= _SIGN_GUARD * (abs(le) + 1.0 / p.r0):
+                return _wronskian_mismatch(li, le, p.r0)
+        except Overflow:  # the one error a tolerance decides: the rtol pass raises or not
+            pass
+        le = shoot_exterior(p, eps, rtol=rtol).log_derivative
+        return _wronskian_mismatch(li, le, p.r0)
+
+    fvals = [mismatch(e) if one_pass else scan_point(e) for e in grid]
     states = []
     for i in _scan_sign_changes(fvals):
         # brentq's default xtol (2e-12 absolute) is coarse beside a small

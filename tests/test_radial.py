@@ -462,6 +462,111 @@ def test_scan_sign_changes_on_tabulated_cosine():
     assert len(hits) == 3
 
 
+def test_coarse_scan_signs_equal_rtol_signs():
+    # the sphere scan reads each grid point's sign, that of li - le, from an
+    # exterior at _SCAN_RTOL; outside the guard band
+    # |li - le| < _SIGN_GUARD (|le| + 1/r0) that sign is the rtol one as long
+    # as le's scale-aware error stays well below _SIGN_GUARD. The worst case
+    # here is the shallow end of the attractive (1, -2) at beta r0^2 = -10
+    # and r0 = 0.3, where psi peaks outside r0 (about 1e-6)
+    channels = [(0, 0), (1, 1), (1, -2), (2, 2), (2, -3), (3, 3), (3, -4)]
+    for (l, w), x, sign, r0 in itertools.product(channels, (0.05, 10.0, 1e3), (1.0, -1.0),
+                                                 (0.3, 3.0)):
+        p = sphere_problem(l=l, w=w, beta=sign * x / r0**2, r0=r0)
+        lo = _auto_epsilon_lo(p)
+        for eps in (lo, 1e-3 * lo, 1e-6 * lo):
+            li = shoot_interior(p, eps).log_derivative
+            coarse = shoot_exterior(p, eps, rtol=radial._SCAN_RTOL).log_derivative
+            ref = shoot_exterior(p, eps).log_derivative
+            assert abs(coarse - ref) <= radial._SIGN_GUARD / 100 * (abs(ref) + 1.0 / r0), (p, eps)
+            f_coarse = radial._wronskian_mismatch(li, coarse, r0)
+            assert (f_coarse > 0.0) == (radial._wronskian_mismatch(li, ref, r0) > 0.0), (p, eps)
+
+
+def _spy_exterior(monkeypatch, fail=lambda eps, rtol: False):
+    """Record (eps, rtol, result) of every shoot_exterior call; raise Overflow where fail says."""
+    calls = []
+    real = radial.shoot_exterior
+
+    def spy(p, eps, **kw):
+        if fail(eps, kw["rtol"]):
+            calls.append((eps, kw["rtol"], None))
+            raise Overflow("planted")
+        res = real(p, eps, **kw)
+        calls.append((eps, kw["rtol"], res))
+        return res
+
+    monkeypatch.setattr(radial, "shoot_exterior", spy)
+    return calls
+
+
+def _scan_grid(p, n_grid):
+    mag = abs(_auto_epsilon_lo(p))
+    return [-g for g in np.geomspace(mag, 1.0e-6 * mag, n_grid).tolist()]
+
+
+def _in_guard_band(p, eps):
+    li = shoot_interior(p, eps).log_derivative
+    le = shoot_exterior(p, eps, rtol=radial._SCAN_RTOL).log_derivative
+    return abs(li - le) < radial._SIGN_GUARD * (abs(le) + 1.0 / p.r0)
+
+
+def test_sphere_scan_integrates_only_guard_band_points_at_rtol(monkeypatch):
+    # sphere (0, 0) at beta r0^2 = 8 nearly matches at eps = 0 (gap 1.2e-7),
+    # so the log-derivatives of its shallow grid points lie in the guard band
+    p = sphere_problem(l=0, beta=8.0)
+    grid = _scan_grid(p, 24)
+    calls = _spy_exterior(monkeypatch)
+    assert find_spectrum(p, n_grid=24, rtol=1e-10).bound_states == ()
+    want, band = [], 0
+    for e in grid:
+        want.append((e, radial._SCAN_RTOL))
+        if _in_guard_band(p, e):
+            want.append((e, 1e-10))
+            band += 1
+    assert [(eps, tol) for eps, tol, _ in calls] == want
+    assert 0 < band < 24
+
+    # at strong coupling both log-derivatives are large and the band is
+    # relative to them: one coarse pass, where |f| r0 < 1e-3 at every point
+    strong = sphere_problem(l=0, beta=1.0e4)
+    calls.clear()
+    find_spectrum(strong, n_grid=2, rtol=1e-10)
+    assert [(eps, tol) for eps, tol, _ in calls] == [(e, radial._SCAN_RTOL) for e in _scan_grid(strong, 2)]
+
+    # an rtol at or above the coarse tolerance leaves one pass at rtol
+    calls.clear()
+    find_spectrum(p, n_grid=24, rtol=1e-8)
+    assert [(eps, tol) for eps, tol, _ in calls] == [(e, 1e-8) for e in grid]
+
+    # a coarse pass that raises falls back to rtol; an rtol pass that
+    # raises raises as it would alone
+    calls = _spy_exterior(monkeypatch, lambda eps, tol: eps == grid[3] and tol > 1e-10)
+    find_spectrum(p, n_grid=24, rtol=1e-10)
+    assert [(eps, tol) for eps, tol, _ in calls][3:5] == [(grid[3], 1e-8), (grid[3], 1e-10)]
+    _spy_exterior(monkeypatch, lambda eps, tol: eps == grid[3])
+    with pytest.raises(Overflow, match="planted"):
+        find_spectrum(p, n_grid=24, rtol=1e-10)
+
+
+def test_cylinder_scan_is_one_rtol_call_per_point(monkeypatch):
+    # the cylinder exterior is closed form and ignores rtol: a second pass
+    # would only add cost
+    p = cylinder_problem(l=0, w=0, beta=-3.0, r0=1.0)
+    calls = _spy_exterior(monkeypatch)
+    find_spectrum(p, n_grid=24, rtol=1e-10)
+    assert [(eps, tol) for eps, tol, _ in calls] == [(e, 1e-10) for e in _scan_grid(p, 24)]
+
+
+def test_sphere_scan_step_count(monkeypatch):
+    # integrating every grid point at rtol, as the scan did before its
+    # coarse pass, took 2741 accepted exterior steps here
+    calls = _spy_exterior(monkeypatch)
+    find_spectrum(sphere_problem(l=1, w=-2, beta=-5.0), n_grid=24)
+    steps = sum(res.steps for *_, res in calls)
+    assert steps < 0.6 * 2741, steps
+
+
 # --- spectra ---------------------------------------------------------------
 
 def test_report_accepts_ascending_states_without_node_counts():
